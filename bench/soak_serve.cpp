@@ -3,13 +3,18 @@
 //
 // Phase 1 — mixed-workload soak. One MiningService takes three waves of
 // requests over three registered datasets: a clean wave, a storm wave
-// (sticky launch faults injected service-wide, plus random cancellation),
-// and a recovery wave (transient fault window that the retry ladder heals,
+// (sticky launch faults injected service-wide, plus cancellation), and a
+// recovery wave (transient fault window that the retry ladder heals,
 // submitted fast enough to trip admission shedding). Requests mix
-// threshold sweeps, top-K, rule generation, deadlines, pinned and
-// planner-chosen drivers, duplicates (dedup fodder) and deliberately
-// malformed entries. Shed requests are retried after their retry_after_ms
-// hint, the way a well-behaved client would.
+// threshold sweeps, top-K, rule generation, simulated-device budgets,
+// pinned and planner-chosen drivers, duplicates (dedup fodder) and
+// deliberately malformed entries. Shed requests are retried after their
+// retry_after_ms hint, the way a well-behaved client would.
+//
+// Coverage does not depend on host speed: truncation comes from
+// device-time budgets (charged on the simulated clock, so they trip at the
+// same level on any build), and the storm wave is submitted with dispatch
+// paused, so its cancels land on requests that are provably still queued.
 //
 // Invariants asserted (process exits 1 on any violation):
 //   * no hangs — every future resolves within a generous per-wave guard;
@@ -18,7 +23,11 @@
 //   * every kOk result is byte-identical to a fault-free serial reference
 //     mine (CPU_TEST / native top-K) of the same request — faults,
 //     hedging, breaker reroutes, dedup and cache sharing may change the
-//     route, never the answer.
+//     route, never the answer;
+//   * every device-budget truncation at level L salvages exactly the
+//     reference's itemsets of size < L;
+//   * the storm wave recorded at least one cancel hit and one budget
+//     truncation (scripts/soak_check.py re-asserts this from the json).
 //
 // Phase 2 — breaker A/B. The same sticky fault plan is served twice with
 // identical workloads: breakers on vs breakers off. With breakers every
@@ -122,6 +131,26 @@ class ReferenceOracle {
   std::map<std::string, std::string> memo_;
   std::unique_ptr<miners::Miner> cpu_;
 };
+
+/// Simulated-device budget for the truncation drills, ms. It is charged on
+/// the simulated clock, so it trips at the same point on any host: right
+/// after the level-1 bitset upload, before any kernel launch (which the
+/// storm wave would fail).
+constexpr double kDrillDeviceBudgetMs = 0.001;
+
+/// Turns `rq` into a truncation drill. The budget is charged by the static
+/// device tier, so the drill is pinned there rather than left to the
+/// planner (which may route around an open breaker to the host).
+void set_device_budget(serve::MiningRequest& rq) {
+  rq.algo = "GPApriori";
+  rq.device_budget_ms = kDrillDeviceBudgetMs;
+}
+
+bool is_budget_truncation(const serve::MiningResult& r) {
+  return r.status == serve::RequestStatus::kTruncated &&
+         r.truncated_at_level > 0 &&
+         r.stop_reason.find("device-budget") != std::string::npos;
+}
 
 struct Spec {
   serve::MiningRequest req;
@@ -295,9 +324,28 @@ int main(int argc, char** argv) {
       if (pct() < 10) s.req.max_itemset_size = 2;
       if (pct() < 40) s.req.algo = pinnable[rng() % 3];
       if (pct() < 10) s.req.rules_confidence = 0.6;
-      if (pct() < 8) s.req.deadline_ms = (rng() % 2) ? 8 : 40;
+      if (pct() < 8) set_device_budget(s.req);
     }
     specs.push_back(std::move(s));
+  }
+  const std::size_t wave1_begin = total * 2 / 5;
+  const std::size_t wave2_begin = total * 7 / 10;
+  auto wave_of = [&](std::size_t i) {
+    return i < wave1_begin ? 0 : i < wave2_begin ? 1 : 2;
+  };
+
+  // The storm wave always carries budget drills, whatever the random mix
+  // drew: its first two plain threshold requests on the dense shape (whose
+  // frequent-1 set is never empty, so the mine reaches the device) get a
+  // device budget.
+  std::size_t storm_drills = 0;
+  for (std::size_t i = wave1_begin; i < wave2_begin && storm_drills < 2; ++i) {
+    auto& rq = specs[i].req;
+    if (specs[i].invalid || rq.top_k > 0 || rq.device_budget_ms > 0 ||
+        rq.dataset != "dense")
+      continue;
+    set_device_budget(rq);
+    ++storm_drills;
   }
 
   // Precompute every reference before any chaos starts.
@@ -329,14 +377,9 @@ int main(int argc, char** argv) {
   serve::MiningService svc(so);
   for (const auto& sh : shapes) svc.register_dataset(sh.name, *sh.db);
 
-  const std::size_t wave1_begin = total * 2 / 5;
-  const std::size_t wave2_begin = total * 7 / 10;
-  auto wave_of = [&](std::size_t i) {
-    return i < wave1_begin ? 0 : i < wave2_begin ? 1 : 2;
-  };
-
   std::vector<serve::MiningResult> finals(specs.size());
   std::vector<int> shed_retries(specs.size(), 0);
+  // Only the storm wave cancels, so cancel_hits is also its count.
   std::uint64_t total_shed_retries = 0, cancel_hits = 0;
 
   struct Pending {
@@ -346,16 +389,28 @@ int main(int argc, char** argv) {
 
   auto drain_wave = [&](int wave, bool do_cancel) {
     std::vector<Pending> pending;
-    std::vector<std::string> ids;
+    // Paused dispatch holds every admitted request in the queue until the
+    // cancels are in, so a hit never depends on how fast requests run.
+    if (do_cancel) svc.pause();
     for (std::size_t i = 0; i < specs.size(); ++i)
-      if (wave_of(i) == wave) {
-        ids.push_back(specs[i].req.id);
-        pending.push_back({i, svc.submit(specs[i].req)});
+      if (wave_of(i) == wave) pending.push_back({i, svc.submit(specs[i].req)});
+    if (do_cancel) {
+      // Up to 4 hits among well-formed, unbudgeted requests whose future is
+      // still open (shed ones are already answered; a dedup follower is not
+      // in the queue itself and misses). Malformed requests and budget
+      // drills keep their own expected outcomes.
+      std::vector<std::size_t> targets;
+      for (auto& p : pending)
+        if (!specs[p.spec].invalid && specs[p.spec].req.device_budget_ms == 0 &&
+            p.fut.wait_for(std::chrono::seconds(0)) !=
+                std::future_status::ready)
+          targets.push_back(p.spec);
+      while (cancel_hits < 4 && !targets.empty()) {
+        const std::size_t pick = rng() % targets.size();
+        cancel_hits += svc.cancel(specs[targets[pick]].req.id);
+        targets.erase(targets.begin() + static_cast<std::ptrdiff_t>(pick));
       }
-    if (do_cancel && !ids.empty()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(30));
-      for (int c = 0; c < 4; ++c)
-        cancel_hits += svc.cancel(ids[rng() % ids.size()]);
+      svc.resume();
     }
     while (!pending.empty()) {
       std::vector<Pending> next;
@@ -405,6 +460,8 @@ int main(int argc, char** argv) {
   // -- Invariants ----------------------------------------------------------
   Tally tally;
   std::uint64_t violations = 0, compared = 0, mismatches = 0;
+  std::uint64_t salvages_compared = 0, storm_truncated = 0,
+                storm_budget_truncated = 0;
   std::vector<double> exec_ms, turnaround_ms;
   for (std::size_t i = 0; i < specs.size(); ++i) {
     const auto& r = finals[i];
@@ -418,6 +475,26 @@ int main(int argc, char** argv) {
                    specs[i].invalid ? "invalid" : "a non-invalid terminal");
       ++violations;
     }
+    if (is_budget_truncation(r)) {
+      // Salvage contract: exactly the levels below the one being counted.
+      if (wave_of(i) == 1) ++storm_budget_truncated;
+      ++salvages_compared;
+      const std::size_t kept = r.truncated_at_level - 1;
+      const std::size_t cap = specs[i].req.max_itemset_size;
+      if (r.itemsets.to_string() !=
+          oracle.threshold(specs[i].req.dataset,
+                           specs[i].req.min_support_ratio,
+                           cap > 0 ? std::min(cap, kept) : kept)) {
+        std::fprintf(stderr,
+                     "soak: FAIL request '%s' truncated at level %zu does "
+                     "not hold exactly the reference's smaller itemsets\n",
+                     r.id.c_str(), r.truncated_at_level);
+        ++mismatches;
+        ++violations;
+      }
+    }
+    if (r.status == serve::RequestStatus::kTruncated && wave_of(i) == 1)
+      ++storm_truncated;
     if (specs[i].invalid || r.status != serve::RequestStatus::kOk) continue;
     ++compared;
     const std::string& want =
@@ -450,11 +527,20 @@ int main(int argc, char** argv) {
   if (storm_trips == 0)
     std::printf("soak: note — the storm wave tripped no breaker (small run?)"
                 "\n");
+  if (cancel_hits == 0 || storm_budget_truncated == 0) {
+    std::fprintf(stderr,
+                 "soak: FAIL the storm wave lost its coverage: %llu cancel "
+                 "hits, %llu device-budget truncations\n",
+                 static_cast<unsigned long long>(cancel_hits),
+                 static_cast<unsigned long long>(storm_budget_truncated));
+    ++violations;
+  }
 
   std::printf("soak: %zu requests in %.0f ms — ok %llu, truncated %llu, "
               "shed %llu (+%llu client retries), rejected %llu, invalid "
               "%llu, error %llu; %llu cancel hits, %llu hedges, %llu trips; "
-              "%llu/%llu kOk results byte-identical\n",
+              "%llu/%llu kOk results byte-identical, %llu budget salvages "
+              "checked; storm wave: %llu truncated (%llu by device budget)\n",
               specs.size(), soak_wall_ms,
               static_cast<unsigned long long>(tally.ok),
               static_cast<unsigned long long>(tally.truncated),
@@ -468,7 +554,10 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(st.breaker_static.trips +
                                               st.breaker_partitioned.trips),
               static_cast<unsigned long long>(compared - mismatches),
-              static_cast<unsigned long long>(compared));
+              static_cast<unsigned long long>(compared),
+              static_cast<unsigned long long>(salvages_compared),
+              static_cast<unsigned long long>(storm_truncated),
+              static_cast<unsigned long long>(storm_budget_truncated));
 
   // -- Breaker A/B ---------------------------------------------------------
   std::printf("A/B: %d requests per arm against a sticky launch fault...\n",
@@ -526,6 +615,10 @@ int main(int argc, char** argv) {
          << ", \"error\": " << tally.error << "},\n"
          << "  \"shed_retries\": " << total_shed_retries << ",\n"
          << "  \"cancel_hits\": " << cancel_hits << ",\n"
+         << "  \"storm\": {\"cancel_hits\": " << cancel_hits
+         << ", \"truncated\": " << storm_truncated
+         << ", \"budget_truncated\": " << storm_budget_truncated << "},\n"
+         << "  \"salvages_compared\": " << salvages_compared << ",\n"
          << "  \"hangs\": 0,\n"
          << "  \"compared\": " << compared << ",\n"
          << "  \"mismatches\": " << mismatches << ",\n"

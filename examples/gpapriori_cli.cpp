@@ -103,9 +103,10 @@ int usage() {
       "a malformed line is answered as status=invalid and the rest of the\n"
       "file still runs:\n"
       "  dataset=PATH [id=NAME] [algo=NAME] support=R|count=N|topk=K\n"
-      "  [max-size=K] [rules=CONF] [deadline-ms=MS] [out=PATH]\n"
+      "  [max-size=K] [rules=CONF] [deadline-ms=MS] [device-budget-ms=MS]\n"
+      "  [out=PATH]\n"
       "serve exits 0 when every request succeeded, 6 when some were\n"
-      "truncated by a deadline but none failed, 75 when some were shed by\n"
+      "truncated by a deadline or device budget but none failed, 75 when some were shed by\n"
       "admission control but none failed outright, 1 otherwise; each JSON\n"
       "line carries the per-request status and exit code. --fault-plan\n"
       "injects a device fault storm into every request (chaos drills);\n"

@@ -8,7 +8,11 @@ the hard invariants against the BENCH json it emitted:
   * the binary exited 0 (it already self-checks; a nonzero exit is final);
   * zero hangs and zero kOk-vs-serial mismatches;
   * every request reached a terminal status (the status counts sum to the
-    request count) and at least one completed kOk.
+    request count) and at least one completed kOk;
+  * the storm wave still exercised cancellation and truncation: at least
+    one cancel hit, one truncated request and one truncation by a
+    simulated-device budget. A drill that stops reaching the path it was
+    written for fails here instead of passing silently.
 
 The breaker A/B p95 numbers are printed — and an inversion (breakers not
 lowering p95) only warns, because wall-clock under sanitizers or a loaded
@@ -61,13 +65,22 @@ def check(report):
         failures.append("no request completed ok")
     if report.get("compared", 0) == 0:
         failures.append("no kOk result was compared against a reference")
+    storm = report.get("storm", {})
+    for key, what in (("cancel_hits", "cancel hits"),
+                      ("truncated", "truncated requests"),
+                      ("budget_truncated", "device-budget truncations")):
+        if storm.get(key, 0) < 1:
+            failures.append(f"storm wave recorded {storm.get(key, 0)} {what} "
+                            f"— its cancel/truncation coverage is gone")
 
     print(f"soak_check: {requests} requests -> "
           + ", ".join(f"{k} {v}" for k, v in sorted(counts.items()))
           + f"; {report.get('shed_retries', 0)} client retries, "
             f"{report.get('cancel_hits', 0)} cancel hits, "
             f"{report.get('compared', 0)} kOk results byte-identical to "
-            f"serial")
+            f"serial; storm wave {storm.get('cancel_hits', 0)} cancel hits, "
+            f"{storm.get('truncated', 0)} truncated "
+            f"({storm.get('budget_truncated', 0)} by device budget)")
 
     ab = report.get("breaker_ab", {})
     on, off = ab.get("with_breakers", {}), ab.get("without_breakers", {})

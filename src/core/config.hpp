@@ -180,16 +180,34 @@ struct Config {
   }
 };
 
+/// fim::dataset_digest of one mine() call's database, scanned on first use
+/// and then reused: the shared-layout check and the checkpoint/resume
+/// digests of the same run share one pass over the data.
+class LazyDatasetDigest {
+ public:
+  explicit LazyDatasetDigest(const fim::TransactionDb& db) : db_(db) {}
+  [[nodiscard]] std::uint64_t get() {
+    if (!value_) value_ = fim::dataset_digest(db_);
+    return *value_;
+  }
+
+ private:
+  const fim::TransactionDb& db_;
+  std::optional<std::uint64_t> value_;
+};
+
 /// The preprocessed layout a driver mines from: the shared one when it
 /// matches this run's threshold and database (digest-verified), else a
 /// fresh build into `local`. The digest scan is only paid when a shared
-/// layout is actually offered.
+/// layout is actually offered, and at most once per run (`digest` must be
+/// the digest of `db`).
 [[nodiscard]] inline const miners::Preprocessed& resolve_preprocess(
     const SharedLayout* shared, const fim::TransactionDb& db,
-    fim::Support min_count, std::optional<miners::Preprocessed>& local) {
+    fim::Support min_count, std::optional<miners::Preprocessed>& local,
+    LazyDatasetDigest& digest) {
   if (shared != nullptr && shared->min_count == min_count &&
       shared->num_transactions == db.num_transactions() &&
-      shared->dataset_digest == fim::dataset_digest(db))
+      shared->dataset_digest == digest.get())
     return shared->pre;
   local.emplace(
       miners::preprocess(db, min_count, miners::ItemOrder::kAscendingFreq));

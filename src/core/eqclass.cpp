@@ -87,13 +87,14 @@ miners::MiningOutput EqClassApriori::mine(const fim::TransactionDb& db,
   RunScope scope(cfg_.run_control);
   const bool snapshotting =
       scope.control() != nullptr && scope.control()->want_checkpoint();
-  const std::uint64_t dataset_dig =
-      snapshotting ? fim::dataset_digest(db) : 0;
+  LazyDatasetDigest digest(db);
+  const std::uint64_t dataset_dig = snapshotting ? digest.get() : 0;
 
   miners::StopWatch host;
   std::optional<miners::Preprocessed> pre_local;
   const miners::Preprocessed& pre =
-      resolve_preprocess(cfg_.shared_layout, db, min_count, pre_local);
+      resolve_preprocess(cfg_.shared_layout, db, min_count, pre_local,
+                         digest);
   const std::size_t n = pre.original_item.size();
 
   const std::uint32_t workers = cfg_.resolve_workers();

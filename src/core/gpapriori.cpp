@@ -485,8 +485,8 @@ miners::MiningOutput GpApriori::mine(const fim::TransactionDb& db,
   RunControl* rc = scope.control();
   const bool snapshotting =
       rc != nullptr && (rc->want_resume() || rc->want_checkpoint());
-  const std::uint64_t dataset_dig =
-      snapshotting ? fim::dataset_digest(db) : 0;
+  LazyDatasetDigest digest(db);
+  const std::uint64_t dataset_dig = snapshotting ? digest.get() : 0;
   std::optional<fim::MiningCheckpoint> resume;
   if (rc != nullptr && rc->want_resume())
     resume = load_resume(rc->options().resume_path, dataset_dig, min_count,
@@ -498,7 +498,8 @@ miners::MiningOutput GpApriori::mine(const fim::TransactionDb& db,
   miners::StopWatch host;
   std::optional<miners::Preprocessed> pre_local;
   const miners::Preprocessed& pre =
-      resolve_preprocess(cfg_.shared_layout, db, min_count, pre_local);
+      resolve_preprocess(cfg_.shared_layout, db, min_count, pre_local,
+                         digest);
   const std::size_t n = pre.original_item.size();
   const double pre_ms = host.elapsed_ms();
 

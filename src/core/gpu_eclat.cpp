@@ -145,8 +145,10 @@ miners::MiningOutput GpuEclat::mine(const fim::TransactionDb& db,
 
   miners::StopWatch host;
   std::optional<miners::Preprocessed> pre_local;
+  LazyDatasetDigest digest(db);
   const miners::Preprocessed& pre =
-      resolve_preprocess(cfg_.shared_layout, db, min_count, pre_local);
+      resolve_preprocess(cfg_.shared_layout, db, min_count, pre_local,
+                         digest);
   const std::size_t n = pre.original_item.size();
 
   std::vector<fim::Item> rows(n);

@@ -33,13 +33,14 @@ miners::MiningOutput PartitionedGpApriori::mine(
   RunScope scope(cfg_.run_control);
   const bool snapshotting =
       scope.control() != nullptr && scope.control()->want_checkpoint();
-  const std::uint64_t dataset_dig =
-      snapshotting ? fim::dataset_digest(db) : 0;
+  LazyDatasetDigest digest(db);
+  const std::uint64_t dataset_dig = snapshotting ? digest.get() : 0;
 
   miners::StopWatch host;
   std::optional<miners::Preprocessed> pre_local;
   const miners::Preprocessed& pre =
-      resolve_preprocess(cfg_.shared_layout, db, min_count, pre_local);
+      resolve_preprocess(cfg_.shared_layout, db, min_count, pre_local,
+                         digest);
   const std::size_t n = pre.original_item.size();
   const std::size_t num_trans = pre.db.num_transactions();
   const std::uint32_t workers = cfg_.resolve_workers();

@@ -7,14 +7,20 @@
 // used). DevicePtr<T> is a typed byte offset into the arena — deliberately
 // NOT a host pointer, so host code cannot dereference device data without
 // going through an explicit copy, mirroring the CUDA discipline.
+//
+// The arena is lazily zeroed: it is an anonymous private mapping, whose
+// zero pages the OS only faults in when a transfer or kernel first touches
+// them. A fresh arena still reads as all zeros (replay must not depend on
+// leftover bytes), but constructing a Device no longer pays a
+// capacity-sized memset.
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <span>
-#include <vector>
 
 #include "gpusim/error.hpp"
 
@@ -79,13 +85,13 @@ class GlobalMemory {
   [[nodiscard]] T load(std::uint64_t addr) const {
     check(addr, sizeof(T));
     T v;
-    std::memcpy(&v, data_.data() + addr, sizeof(T));
+    std::memcpy(&v, data_.get() + addr, sizeof(T));
     return v;
   }
   template <typename T>
   void store(std::uint64_t addr, T v) {
     check(addr, sizeof(T));
-    std::memcpy(data_.data() + addr, &v, sizeof(T));
+    std::memcpy(data_.get() + addr, &v, sizeof(T));
   }
 
   /// Atomic 32-bit fetch-add, the functional core of the simulated
@@ -95,7 +101,7 @@ class GlobalMemory {
     check(addr, 4);
     if (addr % 4 != 0)
       throw SimError("GlobalMemory: misaligned 32-bit atomic");
-    auto* p = reinterpret_cast<std::uint32_t*>(data_.data() + addr);
+    auto* p = reinterpret_cast<std::uint32_t*>(data_.get() + addr);
     return std::atomic_ref<std::uint32_t>(*p).fetch_add(
         v, std::memory_order_relaxed);
   }
@@ -109,10 +115,10 @@ class GlobalMemory {
   [[nodiscard]] std::span<const T> view(std::uint64_t addr,
                                         std::size_t count) const {
     if (count != 0) check(addr, count * sizeof(T));
-    return {reinterpret_cast<const T*>(data_.data() + addr), count};
+    return {reinterpret_cast<const T*>(data_.get() + addr), count};
   }
 
-  [[nodiscard]] std::size_t capacity() const { return data_.size(); }
+  [[nodiscard]] std::size_t capacity() const { return capacity_; }
   [[nodiscard]] std::size_t bytes_in_use() const { return bytes_in_use_; }
   [[nodiscard]] std::size_t peak_bytes_in_use() const { return peak_bytes_in_use_; }
   [[nodiscard]] std::size_t allocation_count() const { return blocks_.size(); }
@@ -128,7 +134,12 @@ class GlobalMemory {
   void free_bytes(std::uint64_t addr);
   void check(std::uint64_t addr, std::size_t n) const;
 
-  std::vector<std::byte> data_;
+  struct Unmapper {
+    std::size_t bytes;
+    void operator()(std::byte* p) const;
+  };
+  std::unique_ptr<std::byte, Unmapper> data_;
+  std::size_t capacity_ = 0;
   // Live allocations: start address -> size.
   std::map<std::uint64_t, std::size_t> blocks_;
   // Free regions: start address -> size, address-ordered and coalesced on

@@ -39,16 +39,22 @@ struct CostEstimate {
 
 class CostEstimator {
  public:
-  /// Model constants. Defaults are fitted against results/BENCH_fig6c.json
-  /// (chess at scale 1, host_threads 1, native tier, git 9b592b3):
-  ///   * GPApriori wall stays ~160-178 ms across minsup 0.95..0.75 while
-  ///     CPU_TEST grows 0.52 -> 9.71 ms — the device path is dominated by
-  ///     a fixed arena-setup cost, modeled by device_fixed_ms;
-  ///   * CPU_TEST's growth (~9.7 ms at 0.75 where the candidate stream is
-  ///     a few hundred kilowords) anchors ms_per_mword;
+  /// Model constants. device_fixed_ms is fitted against
+  /// results/BENCH_fig6c.json (chess at scale 1, host_threads 1, native
+  /// tier, median of 5, lazily zeroed device arena):
+  ///   * at minsup 0.95 (6 itemsets, next to no counting) GPApriori takes
+  ///     1.26 ms of wall time and CPU_TEST, the same algorithm on the host,
+  ///     0.69 ms — the 0.57 ms difference is the device path's fixed cost
+  ///     (Device set-up, first uploads, launch overhead), device_fixed_ms
+  ///     (it scales with host speed: 0.33 ms on a run where CPU_TEST took
+  ///     0.32 ms);
+  ///   * ms_per_mword is unchanged. Across the sweep the modelled level-2
+  ///     front only grows 0.010 -> 0.026 Mwords while GPApriori's wall
+  ///     grows 1.26 -> 53.2 ms (chess's deep levels), so no per-word
+  ///     constant fits this data and deep dense mines are underestimated;
   ///   * parse/scan cost is linear in total items read.
   struct Calibration {
-    double device_fixed_ms = 160.0;   ///< arena setup + first uploads
+    double device_fixed_ms = 0.57;    ///< device set-up + first uploads
     double ms_per_mword = 4.0;        ///< per million 64-bit AND words
     double us_per_item_scan = 0.01;   ///< per (transaction, item) pair
     double bytes_slack = 1.25;        ///< bitset-store headroom multiplier

@@ -67,9 +67,10 @@ std::unique_ptr<miners::Miner> make_by_name(const std::string& name,
 /// execution anyway).
 std::string dedup_key(const MiningRequest& r) {
   char nums[160];
-  std::snprintf(nums, sizeof(nums), "|%a|%u|%zu|%zu|%a|%a|",
+  std::snprintf(nums, sizeof(nums), "|%a|%u|%zu|%zu|%a|%a|%a|",
                 r.min_support_ratio, r.min_support_abs, r.max_itemset_size,
-                r.top_k, r.rules_confidence, r.deadline_ms);
+                r.top_k, r.rules_confidence, r.deadline_ms,
+                r.device_budget_ms);
   return r.dataset + "\x1f" + r.algo + "\x1f" + nums + r.out_path;
 }
 
@@ -266,6 +267,19 @@ std::size_t MiningService::cancel(const std::string& id) {
   return n;
 }
 
+void MiningService::pause() {
+  std::lock_guard lk(m_);
+  paused_ = true;
+}
+
+void MiningService::resume() {
+  {
+    std::lock_guard lk(m_);
+    paused_ = false;
+  }
+  cv_.notify_all();
+}
+
 void MiningService::set_fault_plan(gpusim::FaultPlan plan) {
   std::lock_guard lk(m_);
   fault_plan_override_ = std::move(plan);
@@ -304,7 +318,9 @@ void MiningService::worker_loop() {
     bool skip_expired = false;
     {
       std::unique_lock lk(m_);
-      cv_.wait(lk, [this] { return stopping_ || !queue_.empty(); });
+      cv_.wait(lk, [this] {
+        return stopping_ || (!paused_ && !queue_.empty());
+      });
       if (queue_.empty()) return;  // stopping_ with a drained queue
       job = std::move(queue_.front());
       queue_.pop_front();
@@ -595,6 +611,7 @@ MiningResult MiningService::execute(Job& job) {
       gpapriori::RunControlOptions rco;
       rco.deadline_ms =
           req.deadline_ms > 0 ? req.deadline_ms : opts_.default_deadline_ms;
+      rco.device_budget_ms = req.device_budget_ms;
       // Arm a per-level checkpoint while a hedge is still possible, so a
       // retry resumes the salvaged prefix instead of recounting it. The
       // final allowed attempt skips the write (nothing would consume it).

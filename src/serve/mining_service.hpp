@@ -83,6 +83,10 @@ struct MiningRequest {
   /// Wall-clock budget for this request's execution (queue wait excluded);
   /// 0 = ServiceOptions::default_deadline_ms.
   double deadline_ms = 0;
+  /// Simulated-device-time budget for this request's mine, ms (the
+  /// RunControl device budget, checked at level boundaries); 0 = none.
+  /// Unlike the wall deadline it truncates at the same level on any host.
+  double device_budget_ms = 0;
   /// When non-empty, the itemsets are also written to this file.
   std::string out_path;
 };
@@ -214,6 +218,13 @@ class MiningService {
   /// salvaged). Returns how many requests were hit.
   std::size_t cancel(const std::string& id);
 
+  /// Holds dispatch: workers finish what they are running but start
+  /// nothing new until resume(), so requests submitted meanwhile are
+  /// guaranteed to still be queued (e.g. for a cancel). shutdown()
+  /// overrides a pause and drains the queue anyway.
+  void pause();
+  void resume();
+
   /// Replaces the fault plan injected into every subsequent request's
   /// device (a service-wide storm for chaos drills; a default-constructed
   /// plan heals it). In-flight requests keep their current plan.
@@ -285,6 +296,7 @@ class MiningService {
   std::uint64_t next_seq_ = 0;
   std::uint64_t hedges_spent_ = 0;
   bool stopping_ = false;
+  bool paused_ = false;
 
   std::vector<std::thread> workers_;
 };

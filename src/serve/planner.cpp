@@ -34,14 +34,6 @@ PlanDecision plan_driver(const fim::DatasetStats& stats,
                 l1_bytes / (1 << 20),
                 static_cast<double>(base.arena_bytes) / (1 << 20))};
 
-  // Sparse and wide: the levelwise candidate front is the cost driver, DFS
-  // tid-list intersection over equivalence classes stays narrow.
-  if (stats.density < 0.05 && stats.distinct_items >= 256)
-    return {"GPU Eclat", true,
-            fmt("sparse (density %.4f, %.0f distinct items); DFS tid-list "
-                "intersection beats levelwise fronts",
-                stats.density, items)};
-
   // Degenerate frequent-1 set: at very high thresholds almost nothing
   // survives level 1, sibling groups are singletons, and the tiled
   // kernel's grouped dispatch is pure overhead over static counting.

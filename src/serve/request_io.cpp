@@ -148,6 +148,10 @@ bool parse_request_line(const std::string& line, int line_no,
       if (!fim::parse_positive(value.c_str(), req.deadline_ms))
         fail(line_no, "deadline-ms must be a positive number, got '" + value +
                           "'");
+    } else if (key == "device-budget-ms") {
+      if (!fim::parse_positive(value.c_str(), req.device_budget_ms))
+        fail(line_no, "device-budget-ms must be a positive number, got '" +
+                          value + "'");
     } else if (key == "out") {
       req.out_path = value;
     } else {

@@ -14,6 +14,7 @@
 //   topk=K            top-K mode instead of threshold mining
 //   rules=CONF        also generate rules at confidence in [0, 1]
 //   deadline-ms=MS    per-request wall budget (> 0)
+//   device-budget-ms=MS  per-request simulated-device-time budget (> 0)
 //   out=PATH          also write the itemsets to this file
 //
 // Numeric values go through the strict fim::parse_* helpers; any trailing

@@ -241,6 +241,7 @@ TEST(CostEstimatorTest, WallIncludesFixedDeviceSetup) {
   serve::CostEstimator::Calibration cal;
   serve::CostEstimator est(cal);
   const auto tiny = est.estimate(shape(64, 4, 0.5), 60);
+  ASSERT_GT(cal.device_fixed_ms, 0.0);
   EXPECT_GE(tiny.wall_ms, cal.device_fixed_ms);
 }
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
+#include <algorithm>
 #include <numeric>
 #include <vector>
 
@@ -122,6 +125,45 @@ TEST(Device, StrictMemoryOptionPropagates) {
   opts.strict_memory = true;
   Device dev(DeviceProperties::tesla_t10(), opts);
   EXPECT_TRUE(dev.memory().strict());
+}
+
+// Minor page faults taken by the calling thread so far.
+long thread_minor_faults() {
+  rusage ru{};
+  getrusage(RUSAGE_THREAD, &ru);
+  return ru.ru_minflt;
+}
+
+TEST(Device, DefaultArenaIsLazilyZeroed) {
+  // Zero-filling the default 256 MiB arena up front faults in all of its
+  // 65,536 pages; a lazily zeroed arena faults in none until touched.
+  constexpr long kMaxFaults = 1024;
+  const long before = thread_minor_faults();
+  Device dev;
+  EXPECT_LT(thread_minor_faults() - before, kMaxFaults)
+      << "constructing a Device faulted in its arena";
+  const std::size_t cap = dev.memory().capacity();
+  ASSERT_EQ(cap, DeviceOptions{}.arena_bytes);
+
+  // Fresh allocations at the start, middle and very end of the arena all
+  // read back as zeros; the padding between them is never touched.
+  constexpr std::size_t kProbe = 4096;
+  std::vector<std::uint64_t> probes;
+  probes.push_back(dev.alloc<std::byte>(kProbe).addr);
+  dev.alloc<std::byte>(cap / 2);
+  probes.push_back(dev.alloc<std::byte>(kProbe).addr);
+  dev.alloc<std::byte>(cap - 1 - dev.memory().bytes_in_use() - kProbe);
+  probes.push_back(dev.alloc<std::byte>(kProbe).addr);
+  ASSERT_EQ(probes.back() + kProbe, cap);
+  std::vector<std::byte> back(kProbe, std::byte{0xAB});
+  for (const std::uint64_t addr : probes) {
+    dev.memory().read_bytes(addr, back.data(), kProbe);
+    EXPECT_TRUE(std::all_of(back.begin(), back.end(),
+                            [](std::byte b) { return b == std::byte{0}; }))
+        << "fresh allocation at " << addr << " is not zeroed";
+  }
+  EXPECT_LT(thread_minor_faults() - before, kMaxFaults)
+      << "allocating or probing the arena faulted in untouched pages";
 }
 
 }  // namespace

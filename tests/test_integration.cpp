@@ -30,6 +30,14 @@ struct DbCase {
   double ratio;
 };
 
+// Without this gtest prints DbCase as raw bytes, label pointer first, and the
+// discovered test names change with every address-space layout. The label is
+// already the case name, so only the shape is printed.
+void PrintTo(const DbCase& c, std::ostream* os) {
+  *os << "n=" << c.num_trans << " u=" << c.universe << " d=" << c.density
+      << " seed=" << c.seed << " s=" << c.ratio;
+}
+
 class AllMinersAgree : public testing::TestWithParam<DbCase> {};
 
 TEST_P(AllMinersAgree, OnRandomDatabases) {

@@ -64,18 +64,24 @@ TEST_P(DatasetSweep, EveryMinerAgrees) {
   check(pt);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Profiles, DatasetSweep,
-    testing::Values(
-        SweepCase{datagen::DatasetId::kChess, "chess", 0.06, 0.85},
-        SweepCase{datagen::DatasetId::kChess, "chess", 0.06, 0.70},
-        SweepCase{datagen::DatasetId::kPumsb, "pumsb", 0.012, 0.90},
-        SweepCase{datagen::DatasetId::kPumsb, "pumsb", 0.012, 0.82},
-        SweepCase{datagen::DatasetId::kT40I10D100K, "t40", 0.006, 0.05},
-        SweepCase{datagen::DatasetId::kT40I10D100K, "t40", 0.006, 0.04},
-        SweepCase{datagen::DatasetId::kAccidents, "accidents", 0.003, 0.65},
-        SweepCase{datagen::DatasetId::kAccidents, "accidents", 0.003, 0.45}),
-    case_name);
+// A namespace-scope table is constant-initialised, so the padding after the
+// DatasetId is zero rather than stack garbage; gtest prints SweepCase as raw
+// bytes into the test name, and garbage padding would change its leading
+// bytes from one listing to the next. (The `name` pointer bytes after them
+// still follow the address-space layout.)
+constexpr SweepCase kSweepCases[] = {
+    {datagen::DatasetId::kChess, "chess", 0.06, 0.85},
+    {datagen::DatasetId::kChess, "chess", 0.06, 0.70},
+    {datagen::DatasetId::kPumsb, "pumsb", 0.012, 0.90},
+    {datagen::DatasetId::kPumsb, "pumsb", 0.012, 0.82},
+    {datagen::DatasetId::kT40I10D100K, "t40", 0.006, 0.05},
+    {datagen::DatasetId::kT40I10D100K, "t40", 0.006, 0.04},
+    {datagen::DatasetId::kAccidents, "accidents", 0.003, 0.65},
+    {datagen::DatasetId::kAccidents, "accidents", 0.003, 0.45},
+};
+
+INSTANTIATE_TEST_SUITE_P(Profiles, DatasetSweep,
+                         testing::ValuesIn(kSweepCases), case_name);
 
 TEST(DatasetShapes, StableAcrossSeeds) {
   // The Table 2 statistics are properties of the profile, not of one seed.

@@ -367,6 +367,84 @@ TEST(Checkpoint, ResumeRejectsDifferentMinCount) {
   std::remove(ckpt.c_str());
 }
 
+/// The layout a serve DatasetCache would inject for `db` at `min_count`.
+SharedLayout layout_for(const fim::TransactionDb& db, fim::Support min_count) {
+  SharedLayout lay;
+  lay.min_count = min_count;
+  lay.dataset_digest = fim::dataset_digest(db);
+  lay.num_transactions = db.num_transactions();
+  lay.pre =
+      miners::preprocess(db, min_count, miners::ItemOrder::kAscendingFreq);
+  return lay;
+}
+
+TEST(Checkpoint, MismatchedSharedLayoutFallsBackToFreshBuild) {
+  // The layout of another dataset passes the cheap guards (same threshold,
+  // same transaction count) while the run also digests its data for a
+  // checkpoint. The one digest the run computes must still reject the
+  // layout, in every driver, and the checkpoint must carry the run's own
+  // dataset digest.
+  const auto db = drill_db();
+  const auto other = testutil::random_db(200, 12, 0.45, 92);
+  const auto params = drill_params();
+  const std::string want = CpuBitsetApriori().mine(db, params).itemsets.to_string();
+  ASSERT_NE(CpuBitsetApriori().mine(other, params).itemsets.to_string(), want);
+
+  const SharedLayout wrong = layout_for(other, params.min_support_abs);
+  const std::string ckpt = scratch_path("wrong_layout.ckpt");
+  RunControlOptions rco;
+  rco.checkpoint_path = ckpt;
+  RunControl run(rco);
+  Config cfg;
+  cfg.shared_layout = &wrong;
+  cfg.run_control = &run;
+  for (auto& miner : make_all_miners(cfg)) {
+    SCOPED_TRACE(miner->name());
+    run.reset();
+    EXPECT_EQ(miner->mine(db, params).itemsets.to_string(), want);
+  }
+  (void)GpApriori(cfg).mine(db, params);
+  EXPECT_EQ(fim::MiningCheckpoint::read(ckpt).dataset_digest,
+            fim::dataset_digest(db));
+  std::remove(ckpt.c_str());
+}
+
+TEST(Checkpoint, ResumeWithSharedLayoutRejectsDifferentDataset) {
+  // A resume on another dataset must be rejected even when that dataset's
+  // own (valid) layout is injected: the run's single digest feeds both the
+  // layout check and the resume check.
+  const auto db = drill_db();
+  const auto other = testutil::random_db(200, 12, 0.45, 92);
+  const auto params = drill_params();
+  const SharedLayout db_layout = layout_for(db, params.min_support_abs);
+  const SharedLayout other_layout = layout_for(other, params.min_support_abs);
+  const std::string ckpt = scratch_path("layout_resume.ckpt");
+  {
+    RunControlOptions rco;
+    rco.cancel_after_level = 2;
+    rco.checkpoint_path = ckpt;
+    RunControl run(rco);
+    Config cfg;
+    cfg.shared_layout = &db_layout;
+    cfg.run_control = &run;
+    (void)GpApriori(cfg).mine(db, params);
+  }
+  RunControlOptions rco;
+  rco.resume_path = ckpt;
+  RunControl run(rco);
+  Config cfg;
+  cfg.shared_layout = &other_layout;
+  cfg.run_control = &run;
+  EXPECT_THROW((void)GpApriori(cfg).mine(other, params), fim::IoError);
+
+  // Control: the same snapshot resumes bit-exactly on its own dataset.
+  run.reset();
+  cfg.shared_layout = &db_layout;
+  expect_bit_identical(GpApriori().mine(db, params),
+                       GpApriori(cfg).mine(db, params));
+  std::remove(ckpt.c_str());
+}
+
 TEST(Checkpoint, ReadRejectsBadMagicAndTruncation) {
   const std::string bad = scratch_path("bad_magic.ckpt");
   {

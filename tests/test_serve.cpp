@@ -330,10 +330,11 @@ TEST(RequestIoTest, ParsesWellFormedFile) {
          "\n"
          "id=a dataset=/tmp/x.dat support=0.5\n"
          "dataset=\"/tmp/with space.dat\" count=20 max-size=3 rules=0.9\n"
-         "id=t dataset=/tmp/x.dat topk=10 deadline-ms=250 out=/tmp/o.txt\n";
+         "id=t dataset=/tmp/x.dat topk=10 deadline-ms=250 out=/tmp/o.txt\n"
+         "id=b dataset=/tmp/x.dat support=0.5 device-budget-ms=1.5\n";
   }
   const auto reqs = serve::parse_request_file(path);
-  ASSERT_EQ(reqs.size(), 3u);
+  ASSERT_EQ(reqs.size(), 4u);
   EXPECT_EQ(reqs[0].id, "a");
   EXPECT_DOUBLE_EQ(reqs[0].min_support_ratio, 0.5);
   EXPECT_EQ(reqs[1].id, "req-4");  // default id carries the line number
@@ -344,6 +345,8 @@ TEST(RequestIoTest, ParsesWellFormedFile) {
   EXPECT_EQ(reqs[2].top_k, 10u);
   EXPECT_DOUBLE_EQ(reqs[2].deadline_ms, 250.0);
   EXPECT_EQ(reqs[2].out_path, "/tmp/o.txt");
+  EXPECT_DOUBLE_EQ(reqs[2].device_budget_ms, 0.0);
+  EXPECT_DOUBLE_EQ(reqs[3].device_budget_ms, 1.5);
   std::remove(path.c_str());
 }
 
@@ -358,6 +361,7 @@ TEST(RequestIoTest, RejectsMalformedLinesWithLineContext) {
       "dataset=x.dat topk=0",             // zero K
       "dataset=x.dat rules=2 support=.5", // confidence out of [0, 1]
       "dataset=x.dat deadline-ms=0 support=.5",  // deadline must be > 0
+      "dataset=x.dat device-budget-ms=-1 support=.5",  // budget must be > 0
       "dataset=x.dat support=0.5 support=0.6",   // duplicate key
       "dataset=x.dat frobnicate=1 support=.5",   // unknown key
       "dataset=x.dat",                    // no threshold at all
@@ -435,7 +439,8 @@ TEST(MiningServiceTest, AdmissionShedsRetryablyUnderInflightCap) {
 
 TEST(MiningServiceTest, AdmissionWallCeilingShedsPermanently) {
   ServiceOptions so;
-  so.admission.max_request_wall_ms = 1;  // below any device-path estimate
+  // Below any device-path estimate: each one includes the fixed set-up.
+  so.admission.max_request_wall_ms = so.cost_model.device_fixed_ms / 2;
   MiningService service(so);
   service.register_dataset("mem", small_db());
 
@@ -560,14 +565,17 @@ TEST(MiningServiceTest, CancelHitsQueuedAndRunningRequests) {
   service.register_dataset("small", small_db());
 
   auto f_run = service.submit(req("victim-run", "slow", 0.015, "GPApriori"));
-  auto f_wait = service.submit(req("victim-wait", "small", 0.3, "CPU_TEST"));
-  // Let the single worker pick up victim-run so it is genuinely active.
+  // Let the single worker pick up victim-run so it is likely active; the
+  // pause keeps victim-wait queued however fast victim-run finishes.
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  service.pause();
+  auto f_wait = service.submit(req("victim-wait", "small", 0.3, "CPU_TEST"));
 
   // The queued request is marked and completes without ever executing.
   EXPECT_EQ(service.cancel("victim-wait"), 1u);
   const std::size_t hit_running = service.cancel("victim-run");
   EXPECT_EQ(service.cancel("no-such-id"), 0u);
+  service.resume();
 
   const auto waited = f_wait.get();
   EXPECT_EQ(waited.status, RequestStatus::kTruncated);
@@ -583,6 +591,72 @@ TEST(MiningServiceTest, CancelHitsQueuedAndRunningRequests) {
     EXPECT_EQ(ran.status, RequestStatus::kOk) << ran.error;
   }
   EXPECT_GE(service.stats().cancelled, 1u + hit_running);
+}
+
+TEST(MiningServiceTest, PausedDispatchHoldsRequestsUntilResume) {
+  ServiceOptions so;
+  so.workers = 2;
+  MiningService service(so);
+  service.register_dataset("small", small_db());
+
+  service.pause();
+  auto f_keep = service.submit(req("keep", "small", 0.3, "CPU_TEST"));
+  auto f_drop = service.submit(req("drop", "small", 0.35, "CPU_TEST"));
+  EXPECT_EQ(f_keep.wait_for(std::chrono::milliseconds(50)),
+            std::future_status::timeout);
+  EXPECT_EQ(service.cancel("drop"), 1u);  // provably still queued
+  service.resume();
+
+  EXPECT_EQ(f_keep.get().status, RequestStatus::kOk);
+  const auto dropped = f_drop.get();
+  EXPECT_EQ(dropped.status, RequestStatus::kTruncated);
+  EXPECT_EQ(dropped.stop_reason, "cancelled while queued");
+
+  // shutdown() overrides a pause: queued work still drains.
+  service.pause();
+  auto f_late = service.submit(req("late", "small", 0.3, "CPU_TEST"));
+  service.shutdown();
+  EXPECT_EQ(f_late.get().status, RequestStatus::kOk);
+}
+
+TEST(MiningServiceTest, DeviceBudgetTruncatesOnTheSimulatedClock) {
+  MiningService service;
+  service.register_dataset("slow", slow_db());
+
+  // A full run's simulated device time, then a budget of a twentieth of it
+  // (level 3 on this shape: the last levels carry most of the device time).
+  // The budget is charged on the simulated clock, so it trips at the same
+  // level on every run, however fast the host is.
+  const auto full = service.run_batch({req("full", "slow", 0.02, "GPApriori")});
+  ASSERT_EQ(full[0].status, RequestStatus::kOk) << full[0].error;
+  ASSERT_GT(full[0].device_ms, 0.0);
+
+  MiningRequest part = req("part", "slow", 0.02, "GPApriori");
+  part.device_budget_ms = full[0].device_ms / 20;
+  const auto a = service.run_batch({part})[0];
+  const auto b = service.run_batch({part})[0];
+  ASSERT_EQ(a.status, RequestStatus::kTruncated) << a.error;
+  EXPECT_EQ(a.stop_reason, "device-budget");
+  EXPECT_GT(a.truncated_at_level, 1u);
+  EXPECT_EQ(b.truncated_at_level, a.truncated_at_level);
+  EXPECT_EQ(b.itemsets.to_string(), a.itemsets.to_string());
+
+  // The salvage is exactly the full result's levels below the cut.
+  MiningRequest prefix = req("prefix", "slow", 0.02, "GPApriori");
+  prefix.max_itemset_size = a.truncated_at_level - 1;
+  EXPECT_EQ(service.run_batch({prefix})[0].itemsets.to_string(),
+            a.itemsets.to_string());
+
+  // The budget is part of the dedup identity: a budgeted twin of an
+  // unbudgeted request must not be answered with the other's result.
+  service.pause();
+  auto f_plain = service.submit(req("plain", "slow", 0.02, "GPApriori"));
+  auto f_budget = service.submit(part);
+  service.resume();
+  EXPECT_EQ(f_plain.get().status, RequestStatus::kOk);
+  const auto budget = f_budget.get();
+  EXPECT_EQ(budget.status, RequestStatus::kTruncated);
+  EXPECT_FALSE(budget.deduped);
 }
 
 // -- Shutdown drain ---------------------------------------------------------
@@ -762,13 +836,17 @@ TEST(PlannerTest, PicksPartitionedWhenBitsetsWouldCrowdTheArena) {
   EXPECT_FALSE(plan.reason.empty());
 }
 
-TEST(PlannerTest, PicksEclatForSparseWideData) {
+TEST(PlannerTest, RoutesSparseWideDataToTiledGpApriori) {
+  // GPU Eclat's class kernel has no native tier, so sparse wide shapes are
+  // far cheaper in wall time on tiled GPApriori (same itemsets either way).
   fim::DatasetStats s;
   s.num_transactions = 10'000;
   s.distinct_items = 1'000;
   s.density = 0.01;
+  s.top_item_frequency = 0.1;
   const auto plan = serve::plan_driver(s, 50, gpapriori::Config{});
-  EXPECT_EQ(plan.algo, "GPU Eclat");
+  EXPECT_EQ(plan.algo, "GPApriori");
+  EXPECT_TRUE(plan.tiled);
 }
 
 TEST(PlannerTest, DisablesTilingNearTheSupportCeiling) {
