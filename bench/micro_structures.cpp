@@ -68,15 +68,6 @@ void BM_TrieExtendLevel2(benchmark::State& state) {
 }
 BENCHMARK(BM_TrieExtendLevel2)->Arg(64)->Arg(256)->Arg(1024);
 
-void BM_TrieFlatten(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  gpapriori::CandidateTrie trie(n);
-  trie.extend();
-  for (auto _ : state)
-    benchmark::DoNotOptimize(trie.flatten_level(2));
-}
-BENCHMARK(BM_TrieFlatten)->Arg(64)->Arg(256);
-
 // --- baseline counting structures on identical workloads ---
 
 void BM_CountingTrieTransaction(benchmark::State& state) {

@@ -145,9 +145,11 @@ int usage() {
       "launch#2+=timeout;p_corrupt=0.01\'. Tokens: seed=N,\n"
       "<op>#<n>[+]=<kind> with op in {alloc,h2d,d2h,launch} and kind in\n"
       "{oom,fail,corrupt,timeout,ecc} (\'+\' = that op and all later ones),\n"
-      "p_transfer/p_corrupt/p_timeout/p_ecc=X. GPApriori degrades\n"
-      "static -> partitioned -> CPU_TEST instead of failing; the\n"
-      "ResilienceReport is printed to stderr on degraded runs.\n"
+      "p_transfer/p_corrupt/p_timeout/p_ecc=X. Both retry transient\n"
+      "faults and checksum-verify every download; GPApriori then degrades\n"
+      "static -> partitioned -> CPU_TEST instead of failing (the\n"
+      "ResilienceReport is printed to stderr on degraded runs), while the\n"
+      "partitioned variant exits with the persistent fault's code.\n"
       "\n"
       "Run lifecycle control: --deadline-ms caps wall time (env:\n"
       "GPAPRIORI_DEADLINE_MS), --device-budget-ms caps simulated device\n"
@@ -156,8 +158,12 @@ int usage() {
       "run still prints every fully-counted level (stderr notes the level\n"
       "it stopped at) and exits 6. --checkpoint FILE snapshots the frequent\n"
       "itemsets after every completed level; --resume FILE restarts\n"
-      "bit-exactly from such a snapshot (GPApriori and CPU_TEST;\n"
-      "digest-verified against the input dataset).\n"
+      "bit-exactly from such a snapshot (digest-verified against the input\n"
+      "dataset). Every level-wise driver resumes: GPApriori, CPU_TEST and\n"
+      "the partitioned, pipelined and hybrid variants, from a snapshot any\n"
+      "of them wrote. The eq-class variant (it counts from the previous\n"
+      "level's device rows) and GPU Eclat (depth-first, no levels) reject\n"
+      "--resume with the I/O exit code.\n"
       "\n"
       "exit codes: 0 ok, 1 error, 2 device out-of-memory, 3 I/O error,\n"
       "            4 kernel-launch failure, 5 transfer failure,\n"
@@ -165,27 +171,9 @@ int usage() {
   return kExitUsage;
 }
 
-std::unique_ptr<miners::Miner> make_by_name(const std::string& name,
-                                            const gpapriori::Config& cfg) {
-  for (auto& m : gpapriori::make_all_miners(cfg))
-    if (name == m->name()) return std::move(m);
-  if (name == "GPApriori (eq-class)")
-    return std::make_unique<gpapriori::EqClassApriori>(cfg);
-  if (name == "GPApriori (pipelined)")
-    return std::make_unique<gpapriori::PipelinedGpApriori>(cfg);
-  if (name == "GPApriori (partitioned)")
-    return std::make_unique<gpapriori::PartitionedGpApriori>(cfg);
-  if (name == "GPU Eclat") return std::make_unique<gpapriori::GpuEclat>(cfg);
-  if (name == "Hybrid CPU+GPU Apriori")
-    return std::make_unique<gpapriori::HybridApriori>(cfg);
-  return nullptr;
-}
-
 void list_algos() {
-  for (auto& m : gpapriori::make_all_miners())
-    std::printf("%s\n", std::string(m->name()).c_str());
-  std::printf("GPApriori (eq-class)\nGPApriori (pipelined)\n"
-              "GPApriori (partitioned)\nGPU Eclat\nHybrid CPU+GPU Apriori\n");
+  for (const std::string& name : gpapriori::algorithm_names())
+    std::printf("%s\n", name.c_str());
 }
 
 struct Options {
@@ -409,7 +397,7 @@ int cmd_mine(int argc, char** argv) {
       return kExitUsage;
     }
   }
-  auto miner = make_by_name(o.algo, cfg);
+  auto miner = gpapriori::make_by_name(o.algo, cfg);
   if (!miner) {
     std::fprintf(stderr, "unknown algorithm '%s' (see list-algos)\n",
                  o.algo.c_str());

@@ -194,11 +194,6 @@ std::size_t CandidateTrie::extend() {
   return created;
 }
 
-std::vector<std::uint32_t> CandidateTrie::flatten_level(
-    std::size_t level) const {
-  return levels_[level - 1].paths;  // one block copy of the cached arena
-}
-
 std::uint32_t CandidateTrie::GroupedLevel::max_group_size() const {
   std::uint32_t mx = 0;
   for (std::size_t g = 0; g + 1 < group_offsets.size(); ++g)

@@ -11,7 +11,7 @@
 #include "core/candidate_trie.hpp"
 #include "fim/bitset_ops.hpp"
 #include "fim/vertical.hpp"
-#include "obs/metrics.hpp"
+#include "obs/obs.hpp"
 
 namespace gpapriori {
 
@@ -61,6 +61,28 @@ inline std::optional<fim::ColumnCompaction> plan_level_recompaction(
       fim::BitsetStore::kBitsPerWord;
   if (old_words == 0 || new_words * 4 > old_words * 3) return std::nullopt;
   return plan;
+}
+
+/// The per-level re-compaction step of a resident store after marking
+/// level k (Config::compact_level >= 2 re-compacts after levels 2..N).
+/// Replaces `store` and returns true when a plan cleared the heuristic.
+inline bool recompact_after_level(fim::BitsetStore& store,
+                                  const CandidateTrie& trie, std::size_t k,
+                                  std::uint32_t compact_level) {
+  if (compact_level < 2 || k > compact_level || trie.level_size(k) == 0)
+    return false;
+  obs::ScopedSpan span(obs::SpanKind::kOther, "compact-columns");
+  const auto plan = plan_level_recompaction(store, trie, k, store.rows());
+  if (!plan) return false;
+  store = fim::BitsetStore::compact_columns(store, *plan);
+  const std::uint64_t dropped = plan->original_columns - plan->kept();
+  obs::MetricsRegistry::global().add(obs::Counter::kCompactColumnsDropped,
+                                     dropped);
+  if (span.active()) {
+    span.add_arg("level", static_cast<double>(k));
+    span.add_arg("columns_dropped", static_cast<double>(dropped));
+  }
+  return true;
 }
 
 }  // namespace gpapriori

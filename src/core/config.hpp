@@ -6,6 +6,8 @@
 #include <cstdint>
 #include <cstdlib>
 #include <optional>
+#include <stdexcept>
+#include <string>
 
 #include "baselines/apriori_util.hpp"
 #include "core/resilience.hpp"
@@ -144,6 +146,14 @@ struct Config {
             (block_size & (block_size - 1)) == 0);
   }
 
+  /// Throws std::invalid_argument naming driver `who` unless
+  /// valid_block_size().
+  void check_block_size(const char* who) const {
+    if (!valid_block_size())
+      throw std::invalid_argument(
+          std::string(who) + ": block_size must be a power of two in [32, 512]");
+  }
+
   [[nodiscard]] bool valid_max_group_size() const {
     return max_group_size <= kGroupSizeCap;
   }
@@ -179,40 +189,6 @@ struct Config {
     return gpusim::resolve_host_threads(opts);
   }
 };
-
-/// fim::dataset_digest of one mine() call's database, scanned on first use
-/// and then reused: the shared-layout check and the checkpoint/resume
-/// digests of the same run share one pass over the data.
-class LazyDatasetDigest {
- public:
-  explicit LazyDatasetDigest(const fim::TransactionDb& db) : db_(db) {}
-  [[nodiscard]] std::uint64_t get() {
-    if (!value_) value_ = fim::dataset_digest(db_);
-    return *value_;
-  }
-
- private:
-  const fim::TransactionDb& db_;
-  std::optional<std::uint64_t> value_;
-};
-
-/// The preprocessed layout a driver mines from: the shared one when it
-/// matches this run's threshold and database (digest-verified), else a
-/// fresh build into `local`. The digest scan is only paid when a shared
-/// layout is actually offered, and at most once per run (`digest` must be
-/// the digest of `db`).
-[[nodiscard]] inline const miners::Preprocessed& resolve_preprocess(
-    const SharedLayout* shared, const fim::TransactionDb& db,
-    fim::Support min_count, std::optional<miners::Preprocessed>& local,
-    LazyDatasetDigest& digest) {
-  if (shared != nullptr && shared->min_count == min_count &&
-      shared->num_transactions == db.num_transactions() &&
-      shared->dataset_digest == digest.get())
-    return shared->pre;
-  local.emplace(
-      miners::preprocess(db, min_count, miners::ItemOrder::kAscendingFreq));
-  return *local;
-}
 
 /// Effective tiled-kernel setting: the configured value unless the
 /// GPAPRIORI_NO_TILED environment variable is set non-empty and not "0"

@@ -2,14 +2,10 @@
 
 #include <algorithm>
 #include <bit>
-#include <optional>
 #include <stdexcept>
 
-#include "baselines/apriori_util.hpp"
-#include "core/candidate_trie.hpp"
-#include "core/materialize.hpp"
-#include "core/run_control.hpp"
-#include "fim/bitset_ops.hpp"
+#include "core/level_loop.hpp"
+#include "fim/fimi_io.hpp"
 
 namespace gpapriori {
 
@@ -71,200 +67,146 @@ void EqClassKernel::run_phase(std::uint32_t phase,
     t.st_global(args_.supports, cand, t.ld_shared<std::uint32_t>(0));
 }
 
+namespace {
+
+/// Counts level k from the cached level-(k-1) rows: candidate c's support
+/// is one 2-way AND of its parent's row with its last generation-1 row,
+/// and the result row is written back for the next level. After marking,
+/// the surviving rows are gathered into the next parent arena.
+class EqClassCounter final : public SupportCounter {
+ public:
+  EqClassCounter(gpusim::Device& device, fim::BitsetStore store,
+                 const Config& cfg, std::size_t& peak_bytes)
+      : device_(device),
+        store_(std::move(store)),
+        cfg_(cfg),
+        stride_(static_cast<std::uint32_t>(store_.row_stride_words())),
+        peak_bytes_(peak_bytes),
+        d_gen1_(device.alloc<std::uint32_t>(store_.arena().size(),
+                                            fim::BitsetStore::kAlignBytes)),
+        d_parents_(d_gen1_) {  // level 1's cache IS the gen-1 arena
+    device_.copy_to_device(d_gen1_, store_.arena());
+  }
+
+  [[nodiscard]] const char* level_name() const override {
+    return "eqclass-level";
+  }
+  [[nodiscard]] double device_ms() const override {
+    return device_.ledger().total_ns() / 1e6;
+  }
+
+  LevelCost count(const CandidateLevel& lv,
+                  std::span<fim::Support> supports) override {
+    const std::size_t ncand = lv.count;
+    // Candidate c's parent is its (k-1)-prefix, a frequent node of the
+    // previous level whose parent_index() IS its cached row (parents keep
+    // their post-compaction position; root position == row id), so the
+    // pair table is a straight per-candidate read — no prefix search.
+    std::vector<std::uint32_t> pair_table(ncand * 2);
+    for (std::size_t c = 0; c < ncand; ++c) {
+      pair_table[c * 2] = lv.trie->parent_index(lv.k, c);
+      pair_table[c * 2 + 1] = lv.paths[c * lv.k + lv.k - 1];
+    }
+    d_pairs_ = device_.alloc<std::uint32_t>(pair_table.size());
+    device_.copy_to_device(d_pairs_,
+                           std::span<const std::uint32_t>(pair_table));
+    d_out_rows_ = device_.alloc<std::uint32_t>(
+        ncand * static_cast<std::size_t>(stride_),
+        fim::BitsetStore::kAlignBytes);
+    d_sup_ = device_.alloc<std::uint32_t>(ncand);
+
+    EqClassKernel::Args args;
+    args.parents = d_parents_;
+    args.gen1 = d_gen1_;
+    args.stride_words = stride_;
+    args.words_per_row = static_cast<std::uint32_t>(store_.words_per_row());
+    args.pair_table = d_pairs_;
+    args.out_rows = d_out_rows_;
+    args.supports = d_sup_;
+    const gpusim::Dim3 block{cfg_.resolve_block_size(store_.words_per_row())};
+    const double before = device_.ledger().total_ns();
+    for_each_grid_batch(ncand, [&](std::uint32_t first, std::uint32_t batch) {
+      args.first_candidate = first;
+      device_.launch(EqClassKernel(args), {gpusim::Dim3{batch}, block});
+    });
+    device_.copy_to_host(supports, d_sup_);
+    note_peak();
+    LevelCost cost;
+    cost.device_ms = (device_.ledger().total_ns() - before) / 1e6;
+    cost.words_anded = 2 * ncand * store_.words_per_row();
+    cost.popc_ops = ncand * store_.words_per_row();
+    return cost;
+  }
+
+  // Compacts the surviving rows into the next parent arena. Real CUDA
+  // would do this with a device-side gather; the equivalent DRAM traffic
+  // is charged to the ledger (device->device, no PCIe).
+  void after_mark(const CandidateTrie& trie, std::size_t k,
+                  std::span<const fim::Support> supports,
+                  fim::Support min_count) override {
+    const std::size_t row_bytes = static_cast<std::size_t>(stride_) * 4;
+    auto d_next = device_.alloc<std::uint32_t>(
+        std::max<std::size_t>(1, trie.level_size(k) * stride_),
+        fim::BitsetStore::kAlignBytes);
+    std::vector<std::uint32_t> row(stride_);
+    std::size_t w = 0;
+    for (std::size_t c = 0; c < supports.size(); ++c) {
+      if (supports[c] < min_count) continue;
+      device_.memory().read_bytes((d_out_rows_ + c * stride_).addr,
+                                  row.data(), row_bytes);
+      device_.memory().write_bytes((d_next + w * stride_).addr, row.data(),
+                                   row_bytes);
+      ++w;
+    }
+    device_.charge_device_traffic(w * row_bytes);
+    if (d_parents_ != d_gen1_) device_.free(d_parents_);
+    d_parents_ = d_next;
+    device_.free(d_out_rows_);
+    device_.free(d_pairs_);
+    device_.free(d_sup_);
+    note_peak();
+  }
+
+ private:
+  void note_peak() {
+    peak_bytes_ = std::max(peak_bytes_, device_.memory().bytes_in_use());
+  }
+
+  gpusim::Device& device_;
+  fim::BitsetStore store_;
+  const Config& cfg_;
+  std::uint32_t stride_;
+  std::size_t& peak_bytes_;
+  gpusim::DevicePtr<std::uint32_t> d_gen1_, d_parents_;
+  gpusim::DevicePtr<std::uint32_t> d_pairs_, d_out_rows_, d_sup_;
+};
+
+}  // namespace
+
 EqClassApriori::EqClassApriori(Config cfg) : cfg_(cfg) {
-  if (!cfg_.valid_block_size())
-    throw std::invalid_argument(
-        "EqClassApriori: block_size must be a power of two in [32, 512]");
+  cfg_.check_block_size("EqClassApriori");
 }
 
 miners::MiningOutput EqClassApriori::mine(const fim::TransactionDb& db,
                                           const miners::MiningParams& params) {
-  miners::MiningOutput out;
-  const fim::Support min_count = params.resolve_min_count(db.num_transactions());
   ledger_.reset();
   peak_device_bytes_ = 0;
-
-  RunScope scope(cfg_.run_control);
-  const bool snapshotting =
-      scope.control() != nullptr && scope.control()->want_checkpoint();
-  LazyDatasetDigest digest(db);
-  const std::uint64_t dataset_dig = snapshotting ? digest.get() : 0;
-
-  miners::StopWatch host;
-  std::optional<miners::Preprocessed> pre_local;
-  const miners::Preprocessed& pre =
-      resolve_preprocess(cfg_.shared_layout, db, min_count, pre_local,
-                         digest);
-  const std::size_t n = pre.original_item.size();
-
-  const std::uint32_t workers = cfg_.resolve_workers();
-  std::vector<fim::Item> rows(n);
-  for (fim::Item i = 0; i < n; ++i) rows[i] = i;
-  const miners::StopWatch build_watch;
-  const fim::BitsetStore store = fim::BitsetStore::from_db(pre.db, rows, workers);
-  {
-    miners::HostPhases bph;
-    bph.build_ms = build_watch.elapsed_ms();
-    record_host_phases(out, bph);
-  }
-  const auto stride = static_cast<std::uint32_t>(store.row_stride_words());
-
-  CandidateTrie trie(n);
-  trie.set_workers(workers);
-  for (fim::Item x = 0; x < n; ++x)
-    out.itemsets.add(fim::Itemset{pre.original_item[x]}, pre.support[x]);
-  out.levels.push_back({1, n, n, host.elapsed_ms(), 0});
-  out.host_ms += host.elapsed_ms();
-  if (n == 0) {
-    out.itemsets.canonicalize();
-    return out;
-  }
-
-  gpusim::DeviceOptions dopts;
-  dopts.arena_bytes = cfg_.arena_bytes;
-  dopts.strict_memory = cfg_.strict_memory;
-  dopts.executor.sample_stride = cfg_.sample_stride;
-  dopts.executor.host_threads = cfg_.host_threads;
-  dopts.executor.native = cfg_.native;
-  dopts.executor.cancel = scope.cancel_token();
-  dopts.record_launches = false;
-  gpusim::Device device(cfg_.device, dopts);
-
-  auto d_gen1 =
-      device.alloc<std::uint32_t>(store.arena().size(), fim::BitsetStore::kAlignBytes);
-  device.copy_to_device(d_gen1, store.arena());
-
-  // The previous level's cached rows. Level 1's cache IS the gen-1 arena.
-  auto d_parents = d_gen1;
-  bool parents_owned = false;
-
-  const std::uint64_t layout_dig = snapshotting ? layout_digest(pre) : 0;
-  maybe_write_checkpoint(scope, out, 1, dataset_dig, layout_dig, min_count,
-                         static_cast<std::uint32_t>(params.max_itemset_size));
-
-  std::size_t k = 2;
-  try {
-  for (;; ++k) {
-    if (params.max_itemset_size && k > params.max_itemset_size) break;
-    scope.check("eqclass-level", device.ledger().total_ns() / 1e6);
-    host.restart();
-    miners::HostPhases ph;
-    const std::size_t ncand = trie.extend();
-    ph.candgen_ms = host.elapsed_ms();
-    ph.candgen_shards = trie.last_extend_shards();
-    if (ncand == 0) break;
-    const std::span<const std::uint32_t> paths = trie.level_paths(k);
-
-    // Candidate c's parent is its (k-1)-prefix — by equivalence-class
-    // construction that prefix is a frequent node of the previous level.
-    // The trie's parent_index() IS that previous-level row (parents keep
-    // their post-compaction position; root position == row id), so the
-    // pair table is a straight per-candidate read — no prefix search.
-    const miners::StopWatch pair_watch;
-    std::vector<std::uint32_t> pair_table(ncand * 2);
-    for (std::size_t c = 0; c < ncand; ++c) {
-      pair_table[c * 2] = trie.parent_index(k, c);
-      pair_table[c * 2 + 1] = paths[c * k + k - 1];
-    }
-    ph.flatten_ms = pair_watch.elapsed_ms();
-    double level_host = host.elapsed_ms();
-
-    auto d_pairs = device.alloc<std::uint32_t>(pair_table.size());
-    device.copy_to_device(d_pairs,
-                          std::span<const std::uint32_t>(pair_table));
-    auto d_out_rows = device.alloc<std::uint32_t>(
-        ncand * static_cast<std::size_t>(stride), fim::BitsetStore::kAlignBytes);
-    auto d_sup = device.alloc<std::uint32_t>(ncand);
-
-    EqClassKernel::Args args;
-    args.parents = d_parents;
-    args.gen1 = d_gen1;
-    args.stride_words = stride;
-    args.words_per_row = static_cast<std::uint32_t>(store.words_per_row());
-    args.pair_table = d_pairs;
-    args.out_rows = d_out_rows;
-    args.supports = d_sup;
-
-    const double dev_before = device.ledger().total_ns();
-    for (std::uint32_t done = 0; done < ncand;) {
-      const auto batch = std::min<std::uint32_t>(
-          65'535, static_cast<std::uint32_t>(ncand) - done);
-      args.first_candidate = done;
-      EqClassKernel kernel(args);
-      device.launch(kernel,
-                    {gpusim::Dim3{batch},
-                     gpusim::Dim3{cfg_.resolve_block_size(store.words_per_row())}});
-      done += batch;
-    }
-    std::vector<std::uint32_t> supports(ncand);
-    device.copy_to_host(std::span<std::uint32_t>(supports), d_sup);
-    peak_device_bytes_ =
-        std::max(peak_device_bytes_, device.memory().bytes_in_use());
-    const double level_device =
-        (device.ledger().total_ns() - dev_before) / 1e6;
-
-    host.restart();
-    const miners::StopWatch mark_watch;
-    trie.mark_frequent(k, supports, min_count);
-    ph.candgen_ms += mark_watch.elapsed_ms();
-    const std::size_t survivors = trie.level_size(k);
-
-    // Compact the surviving rows into the next parent arena. Real CUDA
-    // would do this with a device-side gather; the equivalent DRAM traffic
-    // is charged to the ledger below (device->device, no PCIe).
-    auto d_next_parents = device.alloc<std::uint32_t>(
-        std::max<std::size_t>(1, survivors * static_cast<std::size_t>(stride)),
-        fim::BitsetStore::kAlignBytes);
-    {
-      std::vector<std::uint32_t> row(stride);
-      std::size_t w = 0;
-      for (std::size_t c = 0; c < ncand; ++c) {
-        if (supports[c] < min_count) continue;
-        device.memory().read_bytes((d_out_rows + c * stride).addr, row.data(),
-                                   static_cast<std::size_t>(stride) * 4);
-        device.memory().write_bytes((d_next_parents + w * stride).addr,
-                                    row.data(),
-                                    static_cast<std::size_t>(stride) * 4);
-        ++w;
-      }
-      device.charge_device_traffic(w * static_cast<std::size_t>(stride) * 4);
-    }
-    if (parents_owned) device.free(d_parents);
-    d_parents = d_next_parents;
-    parents_owned = true;
-    device.free(d_out_rows);
-    device.free(d_pairs);
-    device.free(d_sup);
-    peak_device_bytes_ =
-        std::max(peak_device_bytes_, device.memory().bytes_in_use());
-
-    std::vector<fim::Support> kept;
-    kept.reserve(survivors);
-    for (std::uint32_t s : supports)
-      if (s >= min_count) kept.push_back(s);
-    const miners::StopWatch emit_watch;
-    emit_frequent_level(trie, k, kept, pre.original_item, out.itemsets,
-                        workers);
-    ph.emit_ms = emit_watch.elapsed_ms();
-    record_host_phases(out, ph);
-    level_host += host.elapsed_ms();
-    out.levels.push_back({k, ncand, survivors, level_host, level_device});
-    out.host_ms += level_host;
-
-    scope.level_completed(k, device.ledger().total_ns() / 1e6);
-    maybe_write_checkpoint(scope, out, k, dataset_dig, layout_dig, min_count,
-                           static_cast<std::uint32_t>(params.max_itemset_size));
-
-    if (survivors == 0) break;
-  }
-  } catch (const gpusim::CancelledError& e) {
-    // Salvage completed levels; the cached-row arenas die with `device`.
-    mark_truncated(out, k, e.cause());
-  }
-
+  // Level k counts from level k-1's cached device rows, which a snapshot
+  // does not hold, so a resumed run could not continue; refuse it loudly.
+  if (cfg_.run_control != nullptr && cfg_.run_control->want_resume())
+    throw fim::IoError(
+        "resume rejected: GPApriori (eq-class) cannot resume (it counts from "
+        "the previous level's cached device rows): " +
+        cfg_.run_control->options().resume_path);
+  LevelLoop loop(db, params, cfg_);
+  miners::MiningOutput out = loop.level1();
+  if (loop.num_items() == 0) return out;
+  fim::BitsetStore store =
+      std::move(loop.build_bitsets(out, 0, /*compact=*/false)[0]);
+  gpusim::Device device(cfg_.device, loop.device_options());
+  EqClassCounter counter(device, std::move(store), cfg_, peak_device_bytes_);
+  loop.run(counter, out);
   ledger_ = device.ledger();
-  out.device_ms = ledger_.total_ns() / 1e6;
-  out.itemsets.canonicalize();
   return out;
 }
 

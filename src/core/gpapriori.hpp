@@ -11,9 +11,13 @@
 // identical algorithm — same preprocessing, same trie, same complete
 // intersection over the same 64-byte-aligned bitset store — with the k-way
 // AND/popcount loop executed by the host. The GPApriori-vs-CPU_TEST series
-// in Fig. 6 isolates exactly the support-counting offload.
+// in Fig. 6 isolates exactly the support-counting offload. Both run the
+// shared LevelLoop (core/level_loop.hpp) and differ only in their
+// SupportCounter.
 
 #include <memory>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "baselines/miner.hpp"
@@ -58,27 +62,14 @@ class GpApriori final : public miners::Miner {
   ResilienceReport report_;
 };
 
-/// CPU_TEST of Table 1: GPApriori's algorithm on the host.
+/// CPU_TEST of Table 1: GPApriori's algorithm on the host. It reads the
+/// same Config as GpApriori — run control (deadline, cancel, checkpoint,
+/// resume), tiled, compact_level, max_group_size and host_threads — so it
+/// exercises the same counting structure and host pipeline, with output
+/// identical for every combination.
 class CpuBitsetApriori final : public miners::Miner {
  public:
-  /// Optional run lifecycle controller (deadline/cancel/checkpoint/resume,
-  /// core/run_control.hpp). Unowned; null = environment-driven. The CPU
-  /// rung of GpApriori's ladder passes the outer run's controller so one
-  /// deadline spans the whole ladder. `tiled`, `compact_level`,
-  /// `max_group_size`, and `host_threads` mirror the same-named Config
-  /// fields so CPU_TEST exercises the same counting structure (and the
-  /// same sharded host pipeline) as the device path — identical output
-  /// for every combination.
-  explicit CpuBitsetApriori(RunControl* run_control = nullptr,
-                            bool tiled = true,
-                            std::uint32_t compact_level = 1,
-                            std::uint32_t max_group_size = 0,
-                            std::uint32_t host_threads = 0)
-      : run_control_(run_control),
-        tiled_(tiled),
-        compact_level_(compact_level),
-        max_group_size_(max_group_size),
-        host_threads_(host_threads) {}
+  explicit CpuBitsetApriori(Config cfg = {}) : cfg_(cfg) {}
 
   [[nodiscard]] std::string_view name() const override { return "CPU_TEST"; }
   [[nodiscard]] std::string_view platform() const override {
@@ -88,16 +79,21 @@ class CpuBitsetApriori final : public miners::Miner {
                                           const miners::MiningParams& params) override;
 
  private:
-  RunControl* run_control_ = nullptr;
-  bool tiled_ = true;
-  std::uint32_t compact_level_ = 1;
-  std::uint32_t max_group_size_ = 0;
-  std::uint32_t host_threads_ = 0;
+  Config cfg_;
 };
 
 /// Every miner of the paper's Table 1 plus the Eclat/FP-Growth extensions,
 /// in Table 1 order (GPApriori first).
 [[nodiscard]] std::vector<std::unique_ptr<miners::Miner>> make_all_miners(
     const Config& gpapriori_config = {});
+
+/// Every name make_by_name resolves: make_all_miners' set, then the
+/// eq-class, pipelined and partitioned GPApriori variants, GPU Eclat and
+/// the hybrid CPU+GPU miner.
+[[nodiscard]] std::vector<std::string> algorithm_names();
+
+/// The miner called `name`, built from `cfg`; null for an unknown name.
+[[nodiscard]] std::unique_ptr<miners::Miner> make_by_name(
+    std::string_view name, const Config& cfg = {});
 
 }  // namespace gpapriori

@@ -4,10 +4,9 @@
 #include <optional>
 #include <stdexcept>
 
-#include "baselines/apriori_util.hpp"
 #include "core/eqclass.hpp"
-#include "core/run_control.hpp"
-#include "fim/bitset_ops.hpp"
+#include "core/level_loop.hpp"
+#include "fim/fimi_io.hpp"
 #include "obs/obs.hpp"
 
 namespace gpapriori {
@@ -126,53 +125,29 @@ void dfs(const fim::Itemset& prefix,
 }  // namespace
 
 GpuEclat::GpuEclat(Config cfg) : cfg_(cfg) {
-  if (!cfg_.valid_block_size())
-    throw std::invalid_argument(
-        "GpuEclat: block_size must be a power of two in [32, 512]");
+  cfg_.check_block_size("GpuEclat");
 }
 
 miners::MiningOutput GpuEclat::mine(const fim::TransactionDb& db,
                                     const miners::MiningParams& params) {
-  miners::MiningOutput out;
-  const fim::Support min_count = params.resolve_min_count(db.num_transactions());
   ledger_.reset();
   peak_device_bytes_ = 0;
-
   // DFS is not level-synchronous, so there is no checkpoint support here:
   // cancellation salvages every itemset emitted so far and reports the
   // depth of the class that was being extended when the token tripped.
-  RunScope scope(cfg_.run_control);
-
-  miners::StopWatch host;
-  std::optional<miners::Preprocessed> pre_local;
-  LazyDatasetDigest digest(db);
-  const miners::Preprocessed& pre =
-      resolve_preprocess(cfg_.shared_layout, db, min_count, pre_local,
-                         digest);
-  const std::size_t n = pre.original_item.size();
-
-  std::vector<fim::Item> rows(n);
-  for (fim::Item i = 0; i < n; ++i) rows[i] = i;
-  const miners::StopWatch build_watch;
+  if (cfg_.run_control != nullptr && cfg_.run_control->want_resume())
+    throw fim::IoError("resume rejected: GPU Eclat (depth-first) keeps no "
+                       "level checkpoints: " +
+                       cfg_.run_control->options().resume_path);
+  LevelLoop loop(db, params, cfg_);
+  const miners::Preprocessed& pre = loop.pre();
+  const std::size_t n = loop.num_items();
+  miners::MiningOutput out;
   const fim::BitsetStore store =
-      fim::BitsetStore::from_db(pre.db, rows, cfg_.resolve_workers());
-  out.host_phases.build_ms += build_watch.elapsed_ms();
-  out.host_ms += host.elapsed_ms();
-  if (n == 0) {
-    out.itemsets.canonicalize();
-    return out;
-  }
+      std::move(loop.build_bitsets(out, 0, /*compact=*/false)[0]);
+  if (n == 0) return out;
 
-  gpusim::DeviceOptions dopts;
-  dopts.arena_bytes = cfg_.arena_bytes;
-  dopts.strict_memory = cfg_.strict_memory;
-  dopts.executor.sample_stride = cfg_.sample_stride;
-  dopts.executor.host_threads = cfg_.host_threads;
-  dopts.executor.native = cfg_.native;
-  dopts.executor.cancel = scope.cancel_token();
-  dopts.record_launches = false;  // DFS can launch thousands of kernels
-  gpusim::Device device(cfg_.device, dopts);
-
+  gpusim::Device device(cfg_.device, loop.device_options());
   auto d_gen1 = device.alloc<std::uint32_t>(store.arena().size(),
                                             fim::BitsetStore::kAlignBytes);
   device.copy_to_device(d_gen1, store.arena());
@@ -187,12 +162,12 @@ miners::MiningOutput GpuEclat::mine(const fim::TransactionDb& db,
           static_cast<std::uint32_t>(store.row_stride_words()),
           static_cast<std::uint32_t>(store.words_per_row()),
           cfg_.resolve_block_size(store.words_per_row()),
-          min_count,
+          loop.min_count(),
           params.max_itemset_size,
           &pre.original_item,
           &out.itemsets,
           &peak_device_bytes_,
-          &scope,
+          &loop.scope(),
           &cur_depth};
 
   try {
@@ -202,7 +177,7 @@ miners::MiningOutput GpuEclat::mine(const fim::TransactionDb& db,
     // reclaimed when `device` is destroyed.
     mark_truncated(out, cur_depth, e.cause());
   }
-  // host_ms covers preprocessing only: the DFS wall time is dominated by
+  // host_ms covers the vertical build only: the DFS wall time is dominated by
   // SIMULATING the kernels (which real hardware would execute), and the
   // driver bookkeeping itself is a few table fills per class.
 

@@ -11,6 +11,10 @@
 // on the host. Support counting is exact because support is additive over
 // a transaction partition. The ablation bench quantifies the streaming
 // price (bitset re-upload per level per chunk) against the static design.
+//
+// This is the streamed rung of GpApriori's degradation ladder entered
+// directly (implemented in gpapriori.cpp): the same support counter, so
+// transient device faults are retried and downloads checksum-verified.
 
 #include "baselines/miner.hpp"
 #include "core/config.hpp"

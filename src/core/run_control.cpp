@@ -162,40 +162,6 @@ RunScope::~RunScope() {
   if (began_) rc_->end_run();
 }
 
-void maybe_write_checkpoint(RunScope& scope, const miners::MiningOutput& out,
-                            std::size_t completed_level,
-                            std::uint64_t dataset_digest,
-                            std::uint64_t layout_digest,
-                            std::uint64_t min_count,
-                            std::uint32_t max_itemset_size) {
-  RunControl* rc = scope.control();
-  if (rc == nullptr || !rc->want_checkpoint()) return;
-  fim::MiningCheckpoint cp;
-  cp.dataset_digest = dataset_digest;
-  cp.layout_digest = layout_digest;
-  cp.min_count = min_count;
-  cp.max_itemset_size = max_itemset_size;
-  cp.completed_level = static_cast<std::uint32_t>(completed_level);
-  cp.levels.reserve(out.levels.size());
-  for (const miners::LevelStats& lv : out.levels)
-    cp.levels.push_back({static_cast<std::uint32_t>(lv.level), lv.candidates,
-                         lv.frequent, lv.host_ms, lv.device_ms});
-  cp.itemsets = out.itemsets;
-  cp.write(rc->options().checkpoint_path);
-  rc->note_checkpoint(completed_level, cp.byte_size());
-}
-
-std::uint64_t layout_digest(const miners::Preprocessed& pre) {
-  std::uint64_t h = fim::kFnvOffset;
-  const std::uint64_t n = pre.original_item.size();
-  h = fim::fnv1a_bytes(&n, sizeof(n), h);
-  h = fim::fnv1a_bytes(pre.original_item.data(),
-                       pre.original_item.size() * sizeof(fim::Item), h);
-  h = fim::fnv1a_bytes(pre.support.data(),
-                       pre.support.size() * sizeof(fim::Support), h);
-  return h;
-}
-
 void mark_truncated(miners::MiningOutput& out, std::size_t level,
                     gpusim::CancelCause cause) {
   out.truncated_at_level = level;

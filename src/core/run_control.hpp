@@ -61,8 +61,9 @@ struct RunControlOptions {
   /// When non-empty, drivers write a fim::MiningCheckpoint here after
   /// every completed level (atomic tmp+rename).
   std::string checkpoint_path;
-  /// When non-empty, GpApriori resumes from this snapshot instead of
-  /// recounting its completed levels (digest-verified, bit-exact).
+  /// When non-empty, the level-wise drivers resume from this snapshot
+  /// instead of recounting its completed levels (digest-verified,
+  /// bit-exact); eq-class and GPU Eclat reject it with fim::IoError.
   std::string resume_path;
 };
 
@@ -172,25 +173,9 @@ class RunScope {
   bool began_ = false;
 };
 
-/// Builds the snapshot for a run whose levels 1..completed_level are fully
-/// counted (MiningOutput holds exactly those levels) and writes it to the
-/// scope's checkpoint path. No-op when the scope has no checkpoint path.
-/// Filesystem failures propagate as fim::IoError.
-void maybe_write_checkpoint(RunScope& scope, const miners::MiningOutput& out,
-                            std::size_t completed_level,
-                            std::uint64_t dataset_digest,
-                            std::uint64_t layout_digest,
-                            std::uint64_t min_count,
-                            std::uint32_t max_itemset_size);
-
 /// Fills the truncation marker on a salvaged output: the run stopped while
 /// counting `level`, for `cause`. Also records the lifecycle trace event.
 void mark_truncated(miners::MiningOutput& out, std::size_t level,
                     gpusim::CancelCause cause);
-
-/// Fingerprint of a preprocessing result (dense item order + per-item
-/// supports). Runs with equal layout digests build identical vertical
-/// layouts, so a checkpoint taken by one resumes bit-exactly in the other.
-[[nodiscard]] std::uint64_t layout_digest(const miners::Preprocessed& pre);
 
 }  // namespace gpapriori

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstring>
 
+#include "core/level_loop.hpp"
 #include "gpusim/error.hpp"
 
 namespace gpapriori {
@@ -274,6 +275,35 @@ bool SupportKernel::run_block_native(gpusim::BlockCtx& b) const {
   b.charge_global_stores(1, 4);
   b.charge_split_phase(1, 2, 0);
   return true;
+}
+
+double count_supports(gpusim::Device& device,
+                      gpusim::DevicePtr<std::uint32_t> bitsets,
+                      const fim::BitsetStore& store, const Config& cfg,
+                      std::span<const std::uint32_t> paths, std::size_t k,
+                      std::span<fim::Support> supports) {
+  const double before = device.ledger().total_ns();
+  auto d_cand = device.alloc<std::uint32_t>(paths.size());
+  device.copy_to_device(d_cand, paths);
+  auto d_sup = device.alloc<std::uint32_t>(supports.size());
+  SupportKernel::Args a;
+  a.bitsets = bitsets;
+  a.stride_words = static_cast<std::uint32_t>(store.row_stride_words());
+  a.words_per_row = static_cast<std::uint32_t>(store.words_per_row());
+  a.candidates = d_cand;
+  a.k = static_cast<std::uint32_t>(k);
+  a.supports = d_sup;
+  const gpusim::Dim3 block{cfg.resolve_block_size(store.words_per_row())};
+  for_each_grid_batch(supports.size(), [&](std::uint32_t first,
+                                           std::uint32_t batch) {
+    a.first_candidate = first;
+    device.launch(SupportKernel(a, cfg.candidate_preload, cfg.unroll),
+                  {gpusim::Dim3{batch}, block});
+  });
+  device.copy_to_host(supports, d_sup);
+  device.free(d_cand);
+  device.free(d_sup);
+  return (device.ledger().total_ns() - before) / 1e6;
 }
 
 }  // namespace gpapriori

@@ -17,7 +17,11 @@
 // them (complete intersection, Fig. 4), trading ALU work for host<->device
 // traffic exactly as §IV.2 argues.
 
+#include <span>
+
 #include "core/config.hpp"
+#include "fim/bitset_ops.hpp"
+#include "gpusim/device_context.hpp"
 #include "gpusim/kernel.hpp"
 #include "gpusim/memory.hpp"
 
@@ -69,5 +73,15 @@ class SupportKernel final : public gpusim::Kernel {
   bool preload_;
   std::uint32_t unroll_;
 };
+
+/// Counts candidate-major k-row `paths` against `store`'s rows resident at
+/// `bitsets` on `device`: uploads the paths, launches SupportKernel in grid
+/// batches, downloads into `supports` and frees its buffers. Returns the
+/// simulated device milliseconds it took.
+double count_supports(gpusim::Device& device,
+                      gpusim::DevicePtr<std::uint32_t> bitsets,
+                      const fim::BitsetStore& store, const Config& cfg,
+                      std::span<const std::uint32_t> paths, std::size_t k,
+                      std::span<fim::Support> supports);
 
 }  // namespace gpapriori

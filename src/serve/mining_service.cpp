@@ -43,24 +43,6 @@ bool on_partitioned_tier(const std::string& algo) {
   return algo == "GPApriori (partitioned)";
 }
 
-/// Mirrors gpapriori_cli's registry: the make_all_miners set plus the
-/// named Config-driven variants.
-std::unique_ptr<miners::Miner> make_by_name(const std::string& name,
-                                            const gpapriori::Config& cfg) {
-  for (auto& m : gpapriori::make_all_miners(cfg))
-    if (name == m->name()) return std::move(m);
-  if (name == "GPApriori (eq-class)")
-    return std::make_unique<gpapriori::EqClassApriori>(cfg);
-  if (name == "GPApriori (pipelined)")
-    return std::make_unique<gpapriori::PipelinedGpApriori>(cfg);
-  if (name == "GPApriori (partitioned)")
-    return std::make_unique<gpapriori::PartitionedGpApriori>(cfg);
-  if (name == "GPU Eclat") return std::make_unique<gpapriori::GpuEclat>(cfg);
-  if (name == "Hybrid CPU+GPU Apriori")
-    return std::make_unique<gpapriori::HybridApriori>(cfg);
-  return nullptr;
-}
-
 /// Everything that determines a request's result (id and the submit order
 /// do not). %a renders doubles exactly, so 0.5 and 0.5000001 never
 /// collide, and NaN != NaN can't poison the key (NaN is rejected before
@@ -649,7 +631,7 @@ MiningResult MiningService::execute(Job& job) {
         active_runs_.erase(run_it);
       }};
 
-      auto miner = make_by_name(algo, cfg);
+      auto miner = gpapriori::make_by_name(algo, cfg);
       if (!miner) {
         r.status = RequestStatus::kInvalid;
         r.error = "unknown algorithm '" + algo + "'";

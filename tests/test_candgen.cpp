@@ -124,17 +124,6 @@ TEST(CandgenDeterminism, ParallelMarkFrequentMatchesSerial) {
     expect_identical(serial, build(w), w);
 }
 
-TEST(CandgenDeterminism, FlattenLevelMatchesPathArena) {
-  const CandidateTrie trie = grow(40, 3, 600, 4);
-  for (std::size_t k = 1; k <= trie.depth(); ++k) {
-    const std::vector<std::uint32_t> flat = trie.flatten_level(k);
-    const auto paths = trie.level_paths(k);
-    ASSERT_EQ(flat.size(), paths.size());
-    EXPECT_TRUE(std::equal(flat.begin(), flat.end(), paths.begin()));
-    ASSERT_EQ(flat.size(), trie.level_size(k) * k);
-  }
-}
-
 // Edge: a trie whose deepest level cannot join (zero or one frequent
 // node) must report an empty extension for every worker count.
 TEST(CandgenEdgeCases, EmptyAndSingletonLevels) {
@@ -182,14 +171,16 @@ TEST(CandgenEndToEnd, ItemsetsBitIdenticalAcrossHostThreads) {
   miners::MiningParams p;
   p.min_support_abs = 350;
 
-  gpapriori::CpuBitsetApriori ref(nullptr, /*tiled=*/true,
-                                  /*compact_level=*/1, /*max_group_size=*/0,
-                                  /*host_threads=*/1);
+  gpapriori::Config ref_cfg;
+  ref_cfg.host_threads = 1;
+  gpapriori::CpuBitsetApriori ref(ref_cfg);
   const auto expected = ref.mine(db, p);
   ASSERT_GT(expected.itemsets.size(), 100u);
 
   for (std::uint32_t ht : worker_counts()) {
-    gpapriori::CpuBitsetApriori miner(nullptr, true, 1, 0, ht);
+    gpapriori::Config cfg;
+    cfg.host_threads = ht;
+    gpapriori::CpuBitsetApriori miner(cfg);
     const auto out = miner.mine(db, p);
     ASSERT_EQ(out.itemsets.size(), expected.itemsets.size())
         << "host_threads=" << ht;

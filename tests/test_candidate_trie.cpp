@@ -22,7 +22,8 @@ TEST(CandidateTrie, Level2IsAllSiblingPairs) {
   CandidateTrie trie(4);
   EXPECT_EQ(trie.extend(), 6u);  // C(4,2)
   EXPECT_EQ(trie.depth(), 2u);
-  const auto flat = trie.flatten_level(2);
+  const auto paths = trie.level_paths(2);
+  const std::vector<std::uint32_t> flat(paths.begin(), paths.end());
   ASSERT_EQ(flat.size(), 12u);
   // Equivalence-class order: 01,02,03,12,13,23.
   const std::vector<std::uint32_t> expect{0, 1, 0, 2, 0, 3, 1, 2, 1, 3, 2, 3};
@@ -104,7 +105,7 @@ TEST(CandidateTrie, IsFrequentOnUnknownPaths) {
 TEST(CandidateTrie, FlattenOrderMatchesCandidateItems) {
   CandidateTrie trie(4);
   trie.extend();
-  const auto flat = trie.flatten_level(2);
+  const auto flat = trie.level_paths(2);
   for (std::size_t i = 0; i < trie.level_size(2); ++i) {
     const auto items = trie.candidate_items(2, i);
     EXPECT_EQ(items[0], flat[i * 2]);

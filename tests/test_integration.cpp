@@ -172,4 +172,36 @@ TEST(Integration, GpAprioriSimulatedSpeedupOverCpuTestCounting) {
   EXPECT_LT(gpu_count_ms, cpu_count_ms);
 }
 
+/// The tid-list oracle against an independent full scan: over universes
+/// small enough to enumerate every itemset, it must report exactly the
+/// itemsets whose naive_support() clears the threshold, with that support.
+TEST(Oracle, BruteForceMatchesNaiveScan) {
+  struct Shape {
+    std::size_t num_trans, universe;
+    double density;
+    std::uint64_t seed;
+    fim::Support min_count;
+  };
+  const Shape shapes[] = {{60, 6, 0.5, 1, 3},  {120, 8, 0.4, 2, 5},
+                          {40, 9, 0.7, 3, 10}, {200, 7, 0.2, 4, 1},
+                          {0, 5, 0.5, 5, 1},   {30, 8, 0.9, 6, 30}};
+  for (const Shape& sh : shapes) {
+    const auto db =
+        testutil::random_db(sh.num_trans, sh.universe, sh.density, sh.seed);
+    fim::ItemsetCollection want;
+    for (std::uint32_t mask = 1; mask < (1u << sh.universe); ++mask) {
+      std::vector<fim::Item> items;
+      for (fim::Item x = 0; x < sh.universe; ++x)
+        if (mask & (1u << x)) items.push_back(x);
+      const fim::Itemset set(std::move(items));
+      const fim::Support sup = testutil::naive_support(db, set);
+      if (sup >= sh.min_count) want.add(set, sup);
+    }
+    want.canonicalize();
+    EXPECT_EQ(testutil::brute_force(db, sh.min_count).to_string(),
+              want.to_string())
+        << "seed " << sh.seed;
+  }
+}
+
 }  // namespace

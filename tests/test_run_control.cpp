@@ -11,6 +11,8 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
+#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -64,6 +66,13 @@ void expect_bit_identical(const miners::MiningOutput& a,
     EXPECT_EQ(a.levels[i].candidates, b.levels[i].candidates);
     EXPECT_EQ(a.levels[i].frequent, b.levels[i].frequent);
   }
+}
+
+/// A default Config driven by `run`.
+Config with_run(RunControl& run) {
+  Config cfg;
+  cfg.run_control = &run;
+  return cfg;
 }
 
 // ---------------------------------------------------------------------------
@@ -170,7 +179,7 @@ TEST(RunControl, EveryLevelSynchronousDriverSalvages) {
     else if (which == "hybrid")
       part = HybridApriori(cfg, 0.5).mine(db, params);
     else
-      part = CpuBitsetApriori(&run).mine(db, params);
+      part = CpuBitsetApriori(cfg).mine(db, params);
     SCOPED_TRACE(which);
     EXPECT_TRUE(part.truncated());
     EXPECT_EQ(part.truncated_at_level, 3u);
@@ -279,14 +288,14 @@ TEST(Checkpoint, CpuMinerResumeBitIdentical) {
     rco.cancel_after_level = 2;
     rco.checkpoint_path = ckpt;
     RunControl run(rco);
-    const auto part = CpuBitsetApriori(&run).mine(db, params);
+    const auto part = CpuBitsetApriori(with_run(run)).mine(db, params);
     ASSERT_TRUE(part.truncated());
   }
   {
     RunControlOptions rco;
     rco.resume_path = ckpt;
     RunControl run(rco);
-    const auto resumed = CpuBitsetApriori(&run).mine(db, params);
+    const auto resumed = CpuBitsetApriori(with_run(run)).mine(db, params);
     EXPECT_FALSE(resumed.truncated());
     expect_bit_identical(full, resumed);
   }
@@ -313,7 +322,7 @@ TEST(Checkpoint, GpuCheckpointResumesOnCpuMiner) {
     RunControlOptions rco;
     rco.resume_path = ckpt;
     RunControl run(rco);
-    const auto resumed = CpuBitsetApriori(&run).mine(db, params);
+    const auto resumed = CpuBitsetApriori(with_run(run)).mine(db, params);
     expect_bit_identical(full, resumed);
   }
   std::remove(ckpt.c_str());
@@ -665,6 +674,93 @@ TEST(FaultBudget, GenerousBudgetStillRetriesTransients) {
   EXPECT_GE(rep.retries, 1u);
   EXPECT_EQ(rep.degraded_to, DegradationStep::kNone);
   EXPECT_FALSE(out.truncated());
+}
+
+// ---------------------------------------------------------------------------
+// Resume through the shared level loop, for every level-wise driver.
+
+struct ResumeCase {
+  const char* id;
+  std::unique_ptr<miners::Miner> (*make)(const Config&);
+  bool on_device;  ///< device-free drivers truncate by level drill instead
+  bool resumable;  ///< eq-class must reject --resume
+};
+
+void PrintTo(const ResumeCase& c, std::ostream* os) { *os << c.id; }
+
+template <typename M>
+std::unique_ptr<miners::Miner> make(const Config& cfg) {
+  return std::make_unique<M>(cfg);
+}
+
+class LevelwiseResume : public ::testing::TestWithParam<ResumeCase> {};
+
+TEST_P(LevelwiseResume, BudgetTruncatedRunResumesByteIdentical) {
+  const ResumeCase& c = GetParam();
+  const auto db = drill_db();
+  const auto params = drill_params();
+  const auto full = c.make(Config{})->mine(db, params);
+  ASSERT_GE(full.levels.size(), 4u);
+  const std::string ckpt = scratch_path(std::string("levelwise_") + c.id);
+
+  // Raise the simulated-device budget until level 2 completes within it:
+  // the budget then trips at level 2's boundary and the run stops while
+  // counting level 3, with levels 1-2 checkpointed.
+  miners::MiningOutput part;
+  for (double budget = 1e-3; budget < 1e3; budget *= 1.25) {
+    RunControlOptions rco;
+    rco.device_budget_ms = budget;
+    rco.cancel_after_level = c.on_device ? 0 : 2;
+    rco.checkpoint_path = ckpt;
+    RunControl run(rco);
+    part = c.make(with_run(run))->mine(db, params);
+    if (!part.truncated() || part.truncated_at_level >= 3) break;
+  }
+  ASSERT_TRUE(part.truncated());
+  EXPECT_EQ(part.truncated_at_level, 3u);
+  EXPECT_EQ(part.stop_reason, c.on_device ? "device-budget" : "user-cancel");
+
+  RunControlOptions rco;
+  rco.resume_path = ckpt;
+  RunControl run(rco);
+  if (c.resumable) {
+    const auto resumed = c.make(with_run(run))->mine(db, params);
+    EXPECT_FALSE(resumed.truncated());
+    expect_bit_identical(full, resumed);
+  } else {
+    EXPECT_THROW((void)c.make(with_run(run))->mine(db, params), fim::IoError);
+  }
+  std::remove(ckpt.c_str());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Drivers, LevelwiseResume,
+    ::testing::Values(
+        ResumeCase{"gpapriori", make<GpApriori>, true, true},
+        ResumeCase{"cpu_test", make<CpuBitsetApriori>, false, true},
+        ResumeCase{"partitioned", make<PartitionedGpApriori>, true, true},
+        ResumeCase{"pipelined", make<PipelinedGpApriori>, true, true},
+        ResumeCase{"hybrid", make<HybridApriori>, true, true},
+        ResumeCase{"multi_gpu", make<MultiGpuApriori>, true, true},
+        ResumeCase{"eqclass", make<EqClassApriori>, true, false}),
+    [](const ::testing::TestParamInfo<ResumeCase>& i) { return i.param.id; });
+
+TEST(RunControl, RegistryBuiltCpuTestHonoursDeadline) {
+  const auto db = drill_db();
+  const auto params = drill_params();
+  const std::string ckpt = scratch_path("registry_cpu_deadline.ckpt");
+  RunControlOptions rco;
+  rco.deadline_ms = 1e-3;  // long expired by the first level boundary
+  rco.checkpoint_path = ckpt;
+  RunControl run(rco);
+  const auto miner = make_by_name("CPU_TEST", with_run(run));
+  ASSERT_NE(miner, nullptr);
+  const auto out = miner->mine(db, params);
+  EXPECT_TRUE(out.truncated());
+  EXPECT_EQ(out.truncated_at_level, 2u);
+  EXPECT_EQ(out.stop_reason, "deadline");
+  EXPECT_EQ(fim::MiningCheckpoint::read(ckpt).completed_level, 1u);
+  std::remove(ckpt.c_str());
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <fstream>
 #include <future>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -23,6 +24,7 @@
 
 #include "core/gpapriori_all.hpp"
 #include "fim/fimi_io.hpp"
+#include "obs/metrics.hpp"
 #include "serve/dataset_cache.hpp"
 #include "serve/planner.hpp"
 #include "serve/request_io.hpp"
@@ -87,22 +89,7 @@ TEST(MiningServiceTest, ConcurrentBatchMatchesSerialByteForByte) {
     EXPECT_EQ(results[i].algo, algos[i]);
 
     // Serial reference: the same driver, default Config, no sharing.
-    gpapriori::Config cfg;
-    std::unique_ptr<miners::Miner> miner;
-    for (auto& m : gpapriori::make_all_miners(cfg))
-      if (std::string(m->name()) == algos[i]) miner = std::move(m);
-    if (!miner) {
-      if (std::string(algos[i]) == "GPApriori (eq-class)")
-        miner = std::make_unique<gpapriori::EqClassApriori>(cfg);
-      else if (std::string(algos[i]) == "GPApriori (pipelined)")
-        miner = std::make_unique<gpapriori::PipelinedGpApriori>(cfg);
-      else if (std::string(algos[i]) == "GPApriori (partitioned)")
-        miner = std::make_unique<gpapriori::PartitionedGpApriori>(cfg);
-      else if (std::string(algos[i]) == "GPU Eclat")
-        miner = std::make_unique<gpapriori::GpuEclat>(cfg);
-      else if (std::string(algos[i]) == "Hybrid CPU+GPU Apriori")
-        miner = std::make_unique<gpapriori::HybridApriori>(cfg);
-    }
+    auto miner = gpapriori::make_by_name(algos[i]);
     ASSERT_NE(miner, nullptr);
     miners::MiningParams p;
     p.min_support_ratio = supports[i];
@@ -535,6 +522,48 @@ TEST(MiningServiceTest, HedgedRetryRecoversFromPersistentDeviceFault) {
   const auto st = service.stats();
   EXPECT_EQ(st.hedges, 1u);
   EXPECT_EQ(st.errors, 0u);  // the kError attempt was hedged, not published
+}
+
+TEST(MiningServiceTest, HedgedCpuTestReplaysCheckpointedLevels) {
+  // Dense enough for four levels, each counted by one tiled launch.
+  const auto db = testutil::random_db(400, 12, 0.65, 21);
+  miners::MiningParams p;
+  p.min_support_ratio = 0.25;
+  const auto clean = gpapriori::GpApriori().mine(db, p);
+  ASSERT_GE(clean.levels.size(), 4u);
+
+  ServiceOptions so;
+  so.workers = 1;
+  so.base_config.allow_degradation = false;  // first attempt must kError
+  MiningService service(so);
+  service.register_dataset("deep", db);
+  // Level 2's launch succeeds and is checkpointed; level 3's times out.
+  service.set_fault_plan(gpusim::FaultPlan::parse("launch#2+=timeout"));
+
+  auto& metrics = obs::MetricsRegistry::global();
+  metrics.reset();
+  metrics.enable();
+  const auto results =
+      service.run_batch({req("replay", "deep", 0.25, "GPApriori")});
+  metrics.disable();
+  ASSERT_EQ(results.size(), 1u);
+  const auto& r = results[0];
+  ASSERT_EQ(r.status, RequestStatus::kOk) << r.error;
+  EXPECT_EQ(r.algo, "CPU_TEST");
+  EXPECT_EQ(r.hedges, 1u);
+  EXPECT_EQ(r.itemsets.to_string(), clean.itemsets.to_string());
+
+  // Each level was counted exactly once across both attempts: the failed
+  // device attempt counted level 2, and the hedge replayed it from the
+  // checkpoint before counting levels 3 onward itself.
+  std::map<std::size_t, obs::LevelMetrics> counted;
+  for (const auto& [k, lm] : metrics.levels()) counted[k] = lm;
+  for (std::size_t i = 1; i < clean.levels.size(); ++i) {
+    const std::size_t k = clean.levels[i].level;
+    EXPECT_EQ(counted[k].candidates, clean.levels[i].candidates) << k;
+    EXPECT_EQ(counted[k].survivors, clean.levels[i].frequent) << k;
+  }
+  metrics.reset();
 }
 
 TEST(MiningServiceTest, MaxHedgesZeroKeepsErrorsTerminal) {

@@ -81,8 +81,12 @@ TEST_P(SupportKernelSweep, MatchesCpuAndPopcount) {
     std::vector<fim::Support> all(trie.level_size(lvl), 100);
     trie.mark_frequent(lvl, all, 1);
   }
-  flat = c.k == 1 ? std::vector<std::uint32_t>{0, 1, 2, 3, 4, 5, 6, 7}
-                  : trie.flatten_level(c.k);
+  if (c.k == 1) {
+    flat = {0, 1, 2, 3, 4, 5, 6, 7};
+  } else {
+    const auto paths = trie.level_paths(c.k);
+    flat.assign(paths.begin(), paths.end());
+  }
 
   DeviceOptions opts;
   opts.arena_bytes = 32 << 20;

@@ -114,7 +114,7 @@ TEST_P(TiledKernelSweep, MatchesCompleteIntersection) {
 
   const auto trie = full_trie(c.items, c.k);
   const auto grouped = trie.flatten_level_grouped(c.k, c.max_group);
-  const auto flat = trie.flatten_level(c.k);
+  const auto flat = trie.level_paths(c.k);
   ASSERT_EQ(grouped.sibling_rows.size(), flat.size() / c.k);
 
   DeviceOptions opts;
@@ -437,8 +437,12 @@ TEST(TiledEndToEnd, CpuTestTiledMatchesComplete) {
   const auto db = testutil::random_db(400, 12, 0.4, 17);
   miners::MiningParams p;
   p.min_support_ratio = 0.1;
-  gpapriori::CpuBitsetApriori plain(nullptr, false, 0);
-  gpapriori::CpuBitsetApriori tiled(nullptr, true, 2);
+  gpapriori::Config plain_cfg, tiled_cfg;
+  plain_cfg.tiled = false;
+  plain_cfg.compact_level = 0;
+  tiled_cfg.compact_level = 2;
+  gpapriori::CpuBitsetApriori plain(plain_cfg);
+  gpapriori::CpuBitsetApriori tiled(tiled_cfg);
   const auto a = plain.mine(db, p);
   const auto b = tiled.mine(db, p);
   ASSERT_GT(a.itemsets.size(), 0u);

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <random>
 #include <vector>
 
@@ -26,31 +27,43 @@ inline fim::Support naive_support(const fim::TransactionDb& db,
 }
 
 /// Brute-force frequent itemset miner: depth-first item extension with the
-/// anti-monotone prune, every support computed by full database scan.
-/// Deliberately shares no code with the real miners.
+/// anti-monotone prune. Each DFS frame carries the transaction ids that
+/// contain its itemset, so an extension's support is the size of that
+/// list intersected with the new item's — exact, without rescanning the
+/// database per candidate. Deliberately shares no code with the real
+/// miners; naive_support() is the independent scan it is checked against.
 inline fim::ItemsetCollection brute_force(const fim::TransactionDb& db,
                                           fim::Support min_count,
                                           std::size_t max_size = 0) {
-  fim::ItemsetCollection out;
-  std::vector<fim::Item> present;
-  for (fim::Item x = 0; x < db.item_universe(); ++x) present.push_back(x);
+  using Tids = std::vector<std::uint32_t>;
+  std::vector<Tids> item_tids(db.item_universe());
+  Tids all(db.num_transactions());
+  for (std::uint32_t t = 0; t < db.num_transactions(); ++t) {
+    all[t] = t;
+    for (fim::Item x : db.transaction(t)) item_tids[x].push_back(t);
+  }
 
   struct Frame {
     fim::Itemset set;
-    std::size_t next_index;
+    Tids tids;
+    std::size_t next_item;
   };
+  fim::ItemsetCollection out;
   std::vector<Frame> stack;
-  stack.push_back({fim::Itemset{}, 0});
+  stack.push_back({fim::Itemset{}, std::move(all), 0});
   while (!stack.empty()) {
     Frame f = std::move(stack.back());
     stack.pop_back();
-    for (std::size_t i = f.next_index; i < present.size(); ++i) {
-      fim::Itemset cand = f.set.with(present[i]);
-      const fim::Support sup = naive_support(db, cand);
+    for (std::size_t i = f.next_item; i < item_tids.size(); ++i) {
+      Tids tids;
+      std::set_intersection(f.tids.begin(), f.tids.end(), item_tids[i].begin(),
+                            item_tids[i].end(), std::back_inserter(tids));
+      const auto sup = static_cast<fim::Support>(tids.size());
       if (sup < min_count) continue;
+      fim::Itemset cand = f.set.with(static_cast<fim::Item>(i));
       out.add(cand, sup);
       if (max_size == 0 || cand.size() < max_size)
-        stack.push_back({std::move(cand), i + 1});
+        stack.push_back({std::move(cand), std::move(tids), i + 1});
     }
   }
   out.canonicalize();
